@@ -24,19 +24,16 @@ void IoExecutor::advanceTo(Time t) {
 }
 
 EventHandle IoExecutor::schedule(Time at, std::function<void()> fn) {
-  auto state = std::make_shared<detail::EventState>();
   // Clamp to now: the Executor contract says `at >= now()`, but a
   // real-time caller computing `lastPass + interval` can land slightly in
   // the past — run it at the next timer dispatch instead of rejecting.
-  timers_.push(Timer{std::max(at, now()), nextSeq_++, std::move(fn), state});
-  return state;
+  return timers_.push(std::max(at, now()), std::move(fn));
 }
 
 bool IoExecutor::dispatchTimers(Time deadline) {
   bool any = false;
-  while (!timers_.empty() && timers_.top().at <= deadline) {
-    Timer timer = timers_.top();
-    timers_.pop();
+  while (!timers_.empty() && timers_.nextAt() <= deadline) {
+    EventQueue::Event timer = timers_.pop();
     if (timer.state->cancelled) continue;
     timer.fn();
     any = true;
@@ -49,7 +46,7 @@ bool IoExecutor::runOne(Time maxWait) {
   // it — they are popped for free when due).
   Time timeout = std::max<Time>(maxWait, 0);
   if (!timers_.empty()) {
-    const Time untilTimer = std::max<Time>(timers_.top().at - now(), 0);
+    const Time untilTimer = std::max<Time>(timers_.nextAt() - now(), 0);
     timeout = std::min(timeout, untilTimer);
   }
 

@@ -5,7 +5,7 @@
 // the discrete-event engine (the paper's evaluation) or on a wall-clock
 // loop; IoExecutor is the wall-clock loop. One thread owns the loop and
 // interleaves two event sources:
-//  - timers: a (time, sequence) priority queue exactly like sim::Engine's,
+//  - timers: the (time, sequence) EventQueue sim::Engine uses too,
 //    driven by the monotonic clock (CLOCK_MONOTONIC via steady_clock), so
 //    wall-clock jumps never reorder events. Same-time callbacks run in
 //    scheduling order — the property the pipelined Server's fallback
@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <vector>
 
 #include "coorm/common/executor.hpp"
 #include "coorm/common/runtime_options.hpp"
@@ -96,25 +94,11 @@ class IoExecutor : public Executor {
   virtual bool pollOnce(Time timeout) = 0;
 
  private:
-  struct Timer {
-    Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    EventHandle state;
-  };
-  struct Later {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   /// Dispatch every timer due at `deadline` or earlier.
   bool dispatchTimers(Time deadline);
 
   std::chrono::steady_clock::time_point start_;
-  std::priority_queue<Timer, std::vector<Timer>, Later> timers_;
-  std::uint64_t nextSeq_ = 0;
+  EventQueue timers_;
   bool stopped_ = false;
 };
 

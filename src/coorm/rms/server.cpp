@@ -131,7 +131,7 @@ Session* Server::connect(AppEndpoint& endpoint, std::string name) {
   journalSessionOpen(*st);
   sessions_.push_back(std::move(st));
   metrics::add(metrics::Gauge::kLiveSessions, 1);
-  trace(toString(session->app()), "connect");
+  if (tracing()) trace(toString(session->app()), "connect");
   journalSyncNow();
   requestReschedule();
   return session;
@@ -160,6 +160,10 @@ const Request* Server::findRequest(RequestId id) {
   return it != requestIndex_.end() ? it->second.second : nullptr;
 }
 
+bool Server::tracing() const {
+  return trace_ != nullptr || logLevel() <= LogLevel::kDebug;
+}
+
 void Server::trace(const std::string& actor, const std::string& what) {
   if (trace_ != nullptr) trace_->record(executor_.now(), actor, what);
   COORM_LOG(LogLevel::kDebug, "rms") << actor << ": " << what;
@@ -181,7 +185,10 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
     // has instead of accepting a duplicate.
     for (const auto& [seen, id] : st.cookieCache) {
       if (seen == cookie) {
-        trace(toString(st.app), "request deduped by cookie -> " + toString(id));
+        if (tracing()) {
+          trace(toString(st.app),
+                "request deduped by cookie -> " + toString(id));
+        }
         return id;
       }
     }
@@ -197,7 +204,9 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
       COORM_LOG(LogLevel::kWarn, "rms")
           << toString(st.app) << " constraint target "
           << toString(spec.relatedTo) << " rejected";
-      trace(toString(st.app), "request rejected (bad constraint target)");
+      if (tracing()) {
+        trace(toString(st.app), "request rejected (bad constraint target)");
+      }
       return RequestId{};
     }
     related = it->second.second;
@@ -281,7 +290,7 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
   journalRequest(st, *raw, wrapper, cookie);
   journalSyncNow();  // durable before the caller can ack the id
 
-  trace(toString(st.app), "request " + raw->describe());
+  if (tracing()) trace(toString(st.app), "request " + raw->describe());
   requestReschedule();
   return raw->id;
 }
@@ -297,9 +306,10 @@ void Server::handleDone(SessionState& st, RequestId id,
   Request* r = it->second.second;
   if (r->ended()) return;
 
-  trace(toString(st.app),
-        "done " + toString(id) + " releasing " +
-            std::to_string(released.size()) + " nodes");
+  if (tracing()) {
+    trace(toString(st.app), "done " + toString(id) + " releasing " +
+                                std::to_string(released.size()) + " nodes");
+  }
   if (!r->started()) {
     cancelUnstarted(st, *r);
   } else {
@@ -311,7 +321,7 @@ void Server::handleDone(SessionState& st, RequestId id,
 
 void Server::handleDisconnect(SessionState& st) {
   syncPass();  // releases node IDs: must observe commit-time pool state
-  trace(toString(st.app), "disconnect");
+  if (tracing()) trace(toString(st.app), "disconnect");
   journalSessionEvent(rms::RecordType::kSessionClosed, st.app,
                       executor_.now());
   markDirty(st);
@@ -490,7 +500,7 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
   if (r->ended()) return;
 
   expiryTimers_.erase(id.value);
-  trace("rms", "expiry of " + toString(id));
+  if (tracing()) trace("rms", "expiry of " + toString(id));
 
   // Pre-allocations carry no node IDs, so there is nothing the application
   // must decide at their end; implicit wrappers in particular must stay
@@ -519,8 +529,10 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
     const auto entry = requestIndex_.find(id.value);
     if (entry == requestIndex_.end()) return;
     if (!entry->second.second->ended()) {
-      trace("rms", "killing " + toString(app) + ": request " + toString(id) +
-                       " not terminated after expiry");
+      if (tracing()) {
+        trace("rms", "killing " + toString(app) + ": request " +
+                         toString(id) + " not terminated after expiry");
+      }
       killApp(*session);
     }
   });
@@ -896,8 +908,10 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
     }
   }
 
-  trace("rms", "start " + r.describe() + " with " +
-                   std::to_string(r.nodeIds.size()) + " nodes");
+  if (tracing()) {
+    trace("rms", "start " + r.describe() + " with " +
+                     std::to_string(r.nodeIds.size()) + " nodes");
+  }
   // Shadow pre-allocations stay invisible to the app; detached sessions
   // get the announcement re-posted at resume.
   if (!r.implicit && st.endpoint != nullptr) {
@@ -958,8 +972,10 @@ void Server::checkViolations() {
               }
             }
             if (held > session->lastPreemptive.at(cluster.id, fireTime)) {
-              trace("rms", "killing " + toString(app) +
-                               ": preemptible resources not released");
+              if (tracing()) {
+                trace("rms", "killing " + toString(app) +
+                                 ": preemptible resources not released");
+              }
               killApp(*session);
               return;
             }
@@ -980,19 +996,26 @@ void Server::pushViews() {
     if (st.endpoint == nullptr) continue;  // detached: resume re-pushes
     // lastNonPreemptive/lastPreemptive were refreshed by runPass(); push
     // them if the application has not seen these exact views yet.
-    if (st.viewsEverSent && st.sentNonPreemptive.sameAs(st.lastNonPreemptive) &&
-        st.sentPreemptive.sameAs(st.lastPreemptive)) {
+    if (st.sentViews != nullptr &&
+        st.sentViews->nonPreemptive.sameAs(st.lastNonPreemptive) &&
+        st.sentViews->preemptive.sameAs(st.lastPreemptive)) {
       continue;
     }
-    st.viewsEverSent = true;
-    st.sentNonPreemptive = st.lastNonPreemptive;
-    st.sentPreemptive = st.lastPreemptive;
-    AppEndpoint* endpoint = st.endpoint;
-    const View np = st.lastNonPreemptive;
-    const View p = st.lastPreemptive;
-    trace("rms", "views -> " + toString(st.app));
-    executor_.after(0, [endpoint, np, p] { endpoint->onViews(np, p); });
+    // The only copy of the views this push makes: the event and a later
+    // RESUME re-push share it.
+    st.sentViews = std::make_shared<const ViewPair>(
+        ViewPair{st.lastNonPreemptive, st.lastPreemptive});
+    if (tracing()) trace("rms", "views -> " + toString(st.app));
+    postViews(*st.endpoint, st.sentViews);
   }
+}
+
+void Server::postViews(AppEndpoint& endpoint,
+                       std::shared_ptr<const ViewPair> views) {
+  metrics::increment(metrics::Event::kViewsPushed);
+  executor_.after(0, [&endpoint, views = std::move(views)] {
+    endpoint.onViews(views->nonPreemptive, views->preemptive);
+  });
 }
 
 void Server::pruneEnded() {
@@ -1684,7 +1707,7 @@ void Server::detachEndpoint(AppId app) {
   }
   st->endpoint = nullptr;
   st->detachedAt = executor_.now();
-  trace(toString(app), "detach (awaiting resume)");
+  if (tracing()) trace(toString(app), "detach (awaiting resume)");
 }
 
 void Server::dropUnresumedBefore(Time cutoff) {
@@ -1698,7 +1721,7 @@ void Server::dropUnresumedBefore(Time cutoff) {
   for (AppId app : doomed) {
     SessionState* st = findSession(app);
     if (st == nullptr) continue;
-    trace(toString(app), "never resumed; disconnecting");
+    if (tracing()) trace(toString(app), "never resumed; disconnecting");
     handleDisconnect(*st);
   }
 }
@@ -1715,16 +1738,12 @@ Session* Server::resumeSession(AppId app, std::uint64_t token,
   st->detachedAt = kNever;
   metrics::increment(metrics::Event::kSessionsResumed);
   metrics::increment(metrics::Event::kReconnects);
-  trace(toString(app), "resume");
+  if (tracing()) trace(toString(app), "resume");
 
   // Re-push the views the application last held; if they changed while it
   // was detached, the next pass pushes the fresh ones (pushViews skipped
   // detached sessions without marking anything sent).
-  if (st->viewsEverSent) {
-    const View np = st->sentNonPreemptive;
-    const View p = st->sentPreemptive;
-    executor_.after(0, [&endpoint, np, p] { endpoint.onViews(np, p); });
-  }
+  if (st->sentViews != nullptr) postViews(endpoint, st->sentViews);
 
   // Re-announce anything that happened while no endpoint was attached
   // (including everything replayed from a journal, whose delivery flags

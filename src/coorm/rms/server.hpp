@@ -310,6 +310,12 @@ class Server {
  private:
   friend class Session;
 
+  /// One push's non-preemptive and preemptive views.
+  struct ViewPair {
+    View nonPreemptive;
+    View preemptive;
+  };
+
   struct SessionState {
     AppId app{};
     /// nullptr while detached: restored from a journal and not yet
@@ -329,9 +335,10 @@ class Server {
     RequestSet preemptible;
     View lastNonPreemptive;   ///< most recently computed views
     View lastPreemptive;
-    View sentNonPreemptive;   ///< views last pushed to the application
-    View sentPreemptive;
-    bool viewsEverSent = false;
+    /// Views last pushed to the application (nullptr: none yet). Shared,
+    /// never mutated: the pending push event and a RESUME re-push hold the
+    /// same pair, and the next push replaces the pointer.
+    std::shared_ptr<const ViewPair> sentViews;
     bool killed = false;
     bool disconnected = false;
     /// Bumped on every mutation of this application's requests or sets
@@ -370,6 +377,9 @@ class Server {
   void startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
   void pushViews();
+  /// Posts `views` to the endpoint as one zero-delay onViews event and
+  /// counts it in `views_pushed`.
+  void postViews(AppEndpoint& endpoint, std::shared_ptr<const ViewPair> views);
   void checkViolations();
   void pruneEnded();
   /// End-of-commit bookkeeping: pass-latency histogram sample, the "pass"
@@ -399,7 +409,9 @@ class Server {
   [[nodiscard]] SessionState* findSession(AppId app);
   [[nodiscard]] RequestSet& setFor(SessionState& st, RequestType type);
   [[nodiscard]] Request* findUnstartedNextChild(SessionState& st, Request& r);
-  void notifyViews(SessionState& st);
+  /// True when trace() output lands anywhere (an attached Trace or debug
+  /// logging); call sites build their message strings only then.
+  [[nodiscard]] bool tracing() const;
   void trace(const std::string& actor, const std::string& what);
 
   // --- journal emit & replay (no-ops while journal_ == nullptr) ------------

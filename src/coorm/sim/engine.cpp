@@ -6,15 +6,12 @@ namespace coorm {
 
 EventHandle Engine::schedule(Time at, std::function<void()> fn) {
   COORM_CHECK(at >= now_);
-  auto state = std::make_shared<detail::EventState>();
-  queue_.push(Event{at, nextSeq_++, std::move(fn), state});
-  return state;
+  return queue_.push(at, std::move(fn));
 }
 
 bool Engine::step() {
   while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
+    EventQueue::Event event = queue_.pop();
     if (event.state->cancelled) continue;  // does not advance the clock
     now_ = std::max(now_, event.at);
     event.fn();
@@ -33,7 +30,7 @@ std::uint64_t Engine::run() {
 std::uint64_t Engine::runUntil(Time until) {
   stopped_ = false;
   std::uint64_t dispatched = 0;
-  while (!stopped_ && !queue_.empty() && queue_.top().at <= until) {
+  while (!stopped_ && !queue_.empty() && queue_.nextAt() <= until) {
     if (step()) ++dispatched;
   }
   now_ = std::max(now_, until);

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <vector>
 
 #include "coorm/common/executor.hpp"
 #include "coorm/common/time.hpp"
@@ -47,27 +45,11 @@ class Engine final : public Executor {
   /// lower bound on the time of the next event actually dispatched. Lets
   /// a driver bound step() against a horizon without popping (the
   /// server-pipeline benchmark's drive loop; see also runUntil()).
-  [[nodiscard]] Time nextEventAt() const {
-    return queue_.empty() ? kTimeInf : queue_.top().at;
-  }
+  [[nodiscard]] Time nextEventAt() const { return queue_.nextAt(); }
 
  private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    EventHandle state;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  EventQueue queue_;
   Time now_ = 0;
-  std::uint64_t nextSeq_ = 0;
   bool stopped_ = false;
 };
 

@@ -21,6 +21,8 @@
 
 #include "coorm/net/client.hpp"
 #include "coorm/net/poll_executor.hpp"
+#include "coorm/rms/server.hpp"
+#include "coorm/sim/engine.hpp"
 #include "net_harness.hpp"
 
 namespace coorm {
@@ -102,6 +104,43 @@ TEST(MetricsCounters, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(metrics::value(Event::kArenaHits),
             eventsBefore + std::uint64_t{kThreads} * kPerThread);
   EXPECT_EQ(metrics::value(Gauge::kPassInFlight), gaugeBefore);
+}
+
+// views_pushed counts exactly the view pairs in-process endpoints receive:
+// one per session push of every pass, plus the RESUME re-push.
+TEST(MetricsCounters, ViewsPushedMatchesEndpointPushes) {
+  struct CountingEndpoint final : AppEndpoint {
+    void onViews(const View&, const View&) override { ++pushes; }
+    std::uint64_t pushes = 0;
+  };
+  const std::uint64_t before = metrics::value(Event::kViewsPushed);
+
+  Engine engine;
+  Server server(engine, Machine::single(16));
+  CountingEndpoint a, b, resumed;
+  Session* sa = server.connect(a);
+  Session* sb = server.connect(b);
+  engine.runUntil(sec(1));
+  for (const NodeCount nodes : {4, 2, 5}) {
+    RequestSpec spec;
+    spec.cluster = ClusterId{0};
+    spec.nodes = nodes;
+    spec.duration = sec(1000);
+    spec.type = RequestType::kNonPreemptible;
+    sa->request(spec);
+    server.runSchedulingPassNow();
+    if (nodes == 2) server.detachEndpoint(sb->app());
+  }
+  ASSERT_EQ(server.resumeSession(sb->app(), server.sessionToken(sb->app()),
+                                 resumed),
+            sb);
+  engine.runUntil(sec(10));
+
+  EXPECT_GT(a.pushes, 3u);
+  EXPECT_GT(b.pushes, 0u);
+  EXPECT_GT(resumed.pushes, 1u);  // the re-push, then the missed change
+  EXPECT_EQ(metrics::value(Event::kViewsPushed) - before,
+            a.pushes + b.pushes + resumed.pushes);
 }
 
 // ---------------------------------------------------------------------------

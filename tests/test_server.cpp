@@ -45,6 +45,15 @@ class TestApp : public AppEndpoint {
   std::map<RequestId, std::vector<NodeId>> nodesOf;
 };
 
+/// Endpoint that keeps every pushed view pair, in delivery order.
+class PushLog : public AppEndpoint {
+ public:
+  void onViews(const View& np, const View& p) override {
+    pushes.emplace_back(np, p);
+  }
+  std::vector<std::pair<View, View>> pushes;
+};
+
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() : server_(engine_, Machine::single(10), config()) {}
@@ -261,6 +270,75 @@ TEST_F(ServerTest, ViewsShowOtherAppsLoad) {
   // implicit PA covers [start, start+100).
   EXPECT_EQ(b.nonPreemptive.at(kC, sec(2)), 4);
   EXPECT_EQ(b.nonPreemptive.at(kC, sec(200)), 10);
+}
+
+// A pushed view pair is never mutated in place: two passes back to back,
+// with a view-changing request between them and no dispatch, deliver each
+// pass's own views, bit for bit.
+TEST_F(ServerTest, BackToBackPassesEachPushTheirOwnViews) {
+  PushLog watcher;
+  TestApp load;
+  Session* w = server_.connect(watcher);
+  Session* s = connect(load);
+  engine_.run();
+  watcher.pushes.clear();
+  const Time now = engine_.now();
+
+  s->request(np(4, sec(1000)));
+  server_.runSchedulingPassNow();
+  const std::pair<View, View> passN{w->nonPreemptiveView(),
+                                    w->preemptiveView()};
+  s->request(np(3, sec(1000)));
+  server_.runSchedulingPassNow();
+  const std::pair<View, View> passN1{w->nonPreemptiveView(),
+                                     w->preemptiveView()};
+  // The request shows in the preemptive view at once, in the
+  // non-preemptive one once it has started (at pass N's commit).
+  EXPECT_EQ(passN.second.at(kC, now), 6);
+  EXPECT_EQ(passN1.first.at(kC, now), 6);
+  EXPECT_EQ(passN1.second.at(kC, now), 3);
+
+  engine_.runUntil(now);
+  ASSERT_EQ(watcher.pushes.size(), 2u);
+  EXPECT_EQ(watcher.pushes[0], passN);
+  EXPECT_EQ(watcher.pushes[1], passN1);
+}
+
+// Views that change while a session is detached are not pushed; RESUME
+// re-pushes exactly the pair last sent, and the next pass the fresh one.
+TEST_F(ServerTest, ResumeRepushesLastSentPairThenNextPassPushesFresh) {
+  PushLog first, resumed;
+  TestApp load;
+  Session* w = server_.connect(first);
+  Session* s = connect(load);
+  engine_.run();
+  ASSERT_FALSE(first.pushes.empty());
+  const std::pair<View, View> lastSent = first.pushes.back();
+  const std::size_t pushesBeforeDetach = first.pushes.size();
+  const Time now = engine_.now();
+
+  server_.detachEndpoint(w->app());
+  s->request(np(4, sec(1000)));
+  server_.runSchedulingPassNow();
+  ASSERT_NE(std::make_pair(w->nonPreemptiveView(), w->preemptiveView()),
+            lastSent);
+  engine_.runUntil(now);
+  EXPECT_EQ(first.pushes.size(), pushesBeforeDetach);
+
+  ASSERT_EQ(server_.resumeSession(w->app(), server_.sessionToken(w->app()),
+                                  resumed),
+            w);
+  engine_.runUntil(now);
+  ASSERT_EQ(resumed.pushes.size(), 1u);
+  EXPECT_EQ(resumed.pushes[0], lastSent);
+
+  server_.runSchedulingPassNow();
+  const std::pair<View, View> fresh{w->nonPreemptiveView(),
+                                    w->preemptiveView()};
+  engine_.runUntil(now);
+  ASSERT_EQ(resumed.pushes.size(), 2u);
+  EXPECT_EQ(resumed.pushes[1], fresh);
+  EXPECT_EQ(first.pushes.size(), pushesBeforeDetach);
 }
 
 TEST_F(ServerTest, DisconnectReleasesEverything) {

@@ -4,6 +4,9 @@
 
 #include <sstream>
 
+#include "coorm/rms/server.hpp"
+#include "coorm/sim/engine.hpp"
+
 namespace coorm {
 namespace {
 
@@ -38,6 +41,42 @@ TEST(Trace, Clear) {
   trace.record(0, "a", "b");
   trace.clear();
   EXPECT_TRUE(trace.empty());
+}
+
+// The server builds its trace messages only while something records them;
+// with a Trace attached, every kind of operation still lands in it.
+TEST(Trace, ServerRecordsEveryOperationWhenAttached) {
+  struct App : AppEndpoint {
+    void onExpired(RequestId id) override { session->done(id); }
+    Session* session = nullptr;
+  };
+  Engine engine;
+  Server server(engine, Machine::single(8));
+  Trace trace;
+  server.setTrace(&trace);
+
+  App app, resumed;
+  Session* s = server.connect(app);
+  app.session = s;
+  engine.runUntil(sec(1));
+  RequestSpec spec;
+  spec.cluster = ClusterId{0};
+  spec.nodes = 2;
+  spec.duration = sec(5);
+  spec.type = RequestType::kNonPreemptible;
+  s->request(spec);
+  engine.runUntil(sec(20));
+  server.detachEndpoint(s->app());
+  ASSERT_EQ(server.resumeSession(s->app(), server.sessionToken(s->app()),
+                                 resumed),
+            s);
+  s->disconnect();
+
+  for (const char* what :
+       {"connect", "request ", "views -> ", "start ", "expiry of ", "done ",
+        "detach", "resume", "disconnect"}) {
+    EXPECT_TRUE(trace.contains(what)) << what;
+  }
 }
 
 }  // namespace
