@@ -17,9 +17,7 @@
 //  - BM_EqSchedule: Algorithm 3 in isolation (half the applications hold
 //    started preemptible allocations, half have pending ones);
 //  - BM_ServerPipeline: the full Server + Engine stack under a
-//    message-heavy multi-app protocol load, comparing the serial
-//    back-to-back server against the snapshot/commit pipeline
-//    (args {apps, threads, pipeline}).
+//    message-heavy multi-app protocol load (args {apps, threads}).
 //
 // `tools/bench_report.py` turns `--benchmark_format=json` output from this
 // binary into the committed BENCH_scheduler.json trajectory.
@@ -249,9 +247,9 @@ BENCHMARK(BM_EqSchedule)
 /// non-preemptible and preemptible requests on a half-second grid (so
 /// messages regularly dispatch while the per-second scheduling pass is in
 /// flight), answers expiries, and retires older requests.
-class PipelineBenchApp : public AppEndpoint {
+class ServerBenchApp : public AppEndpoint {
  public:
-  PipelineBenchApp(Engine& engine, std::uint64_t seed)
+  ServerBenchApp(Engine& engine, std::uint64_t seed)
       : engine_(engine), rng_(seed) {}
 
   void attach(Server& server) {
@@ -300,32 +298,26 @@ class PipelineBenchApp : public AppEndpoint {
   std::uint64_t messages_ = 0;
 };
 
-// Args: {apps, threads, pipeline}. One iteration simulates two minutes of
-// message-heavy protocol traffic through the whole Engine + Server stack;
-// pipeline=1 runs every pass on the background lane against a request-set
-// snapshot (overlapping protocol handling), pipeline=0 is the serial
-// back-to-back reference. Outputs are bit-identical; the difference is
-// pure serving latency. `passes`/`overlapped` record how many passes ran
-// and how many had messages arrive in flight.
+// Args: {apps, threads}. One iteration simulates two minutes of
+// message-heavy protocol traffic through the whole Engine + Server stack.
+// Outputs are bit-identical at every thread count; `passes` records how
+// many passes ran.
 void BM_ServerPipeline(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool pipeline = state.range(2) != 0;
   const metrics::Snapshot before = metrics::snapshot();
   std::uint64_t messages = 0;
   std::uint64_t passes = 0;
-  std::uint64_t overlapped = 0;
   for (auto _ : state) {
     Engine engine;
     Server::Config config;
     config.reschedInterval = sec(1);
-    config.pipeline = pipeline;
     config.threads = threads;
     Server server(engine, Machine::single(8 * napps), config);
-    std::vector<std::unique_ptr<PipelineBenchApp>> apps;
+    std::vector<std::unique_ptr<ServerBenchApp>> apps;
     Rng rng(42);
     for (int i = 0; i < napps; ++i) {
-      apps.push_back(std::make_unique<PipelineBenchApp>(
+      apps.push_back(std::make_unique<ServerBenchApp>(
           engine, rng.fork().engine()()));
       apps.back()->attach(server);
     }
@@ -336,12 +328,10 @@ void BM_ServerPipeline(benchmark::State& state) {
     while (engine.nextEventAt() <= horizon) engine.step();
     for (const auto& app : apps) messages += app->messages();
     passes += server.passCount();
-    overlapped += server.overlappedPassCount();
   }
   state.counters["messages/s"] = benchmark::Counter(
       static_cast<double>(messages), benchmark::Counter::kIsRate);
   state.counters["passes"] = static_cast<double>(passes);
-  state.counters["overlapped"] = static_cast<double>(overlapped);
   // Write-back fast path (snapshot.cpp): passes whose results all match
   // their capture-time seeds skip the scattered live-request walk. The
   // clean share pins that the fast path actually engages under protocol
@@ -362,12 +352,10 @@ void BM_ServerPipeline(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ServerPipeline)
-    ->Args({16, 1, 0})
-    ->Args({16, 1, 1})
-    ->Args({16, 2, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 1, 1})
-    ->Args({64, 2, 1})
+    ->Args({16, 1})
+    ->Args({16, 2})
+    ->Args({64, 1})
+    ->Args({64, 2})
     ->Unit(benchmark::kMillisecond);
 
 // Args: {napps, churnPct, incremental}. Steady-state lease population:

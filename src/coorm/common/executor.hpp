@@ -24,14 +24,9 @@ struct EventState {
 }  // namespace detail
 
 /// Handle to a scheduled callback; cancelling is best-effort (a callback
-/// already being dispatched still runs).
-///
-/// The pipelined RMS server leans on two properties of this interface:
-/// callbacks scheduled for the same time run in scheduling order (so a
-/// fallback pass-commit event scheduled first dispatches before anything
-/// a same-time event schedules afterwards), and a cancelled event is
-/// skipped without advancing the clock (so a commit performed early by a
-/// draining message simply cancels the fallback).
+/// already being dispatched still runs). A cancelled event is skipped
+/// without advancing the clock, so the daemon can flush a connection early
+/// and simply cancel its armed zero-delay flush event.
 using EventHandle = std::shared_ptr<detail::EventState>;
 
 class Executor {

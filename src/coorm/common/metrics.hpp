@@ -34,10 +34,12 @@
 namespace coorm::metrics {
 
 /// Monotonic event counters. Every entry has a snake_case wire/report name
-/// in `name()`; the enum value doubles as the id in the STATS payload.
+/// in `name()`; the enum value doubles as the id in the STATS payload, so
+/// entries are never removed or reordered — a retired one stays, pinned
+/// at 0.
 enum class Event : std::uint16_t {
   kSchedulePasses,            ///< scheduling passes run to completion
-  kSchedulePassesOverlapped,  ///< passes with messages arriving in flight
+  kSchedulePassesOverlapped,  ///< retired (passes run inline): always 0
   kSnapshotRebuilds,          ///< app snapshot captures rebuilt from scratch
   kSnapshotRefreshes,         ///< captures satisfied by verify-and-refresh
   kSnapshotSkips,             ///< captures skipped outright (epoch clean)
@@ -74,10 +76,10 @@ enum class Event : std::uint16_t {
   kCount_,                    ///< not a counter — number of events
 };
 
-/// Signed current-value gauges.
+/// Signed current-value gauges; ids are stable like Event's.
 enum class Gauge : std::uint16_t {
   kLiveSessions,    ///< connected application sessions
-  kPassInFlight,    ///< scheduling passes currently executing (0 or 1)
+  kPassInFlight,    ///< retired (passes run inline): always 0
   kArenaBytesHeld,  ///< bytes parked in segment-arena free lists
   kCount_,          ///< not a gauge — number of gauges
 };

@@ -1,7 +1,7 @@
 // The one runtime-tuning surface shared by every entry point.
 //
-// Scheduler worker threads, pipelined serving, the re-scheduling interval
-// and strict equi-partitioning used to be scattered across
+// Scheduler worker threads, the re-scheduling interval and strict
+// equi-partitioning used to be scattered across
 // SchedulerOptions, Server::Config and per-tool flag parsing.
 // RuntimeOptions collects them: tools parse into it once
 // (tools/cli_options.hpp), Server::Config::fromRuntime() and
@@ -10,7 +10,7 @@
 // runtime tuning.
 //
 // Every knob keeps the paper-faithful default; any combination yields
-// bit-identical schedules (threads and pipeline change only latency).
+// bit-identical schedules (threads change only latency).
 #pragma once
 
 #include "coorm/common/time.hpp"
@@ -30,9 +30,6 @@ enum class IoBackend {
 struct RuntimeOptions {
   /// Scheduler worker threads (>= 1; 1 = serial, no OS threads spawned).
   int threads = 1;
-  /// Two-stage pipelined serving (snapshot passes on a background lane);
-  /// false restores the serial back-to-back server.
-  bool pipeline = true;
   /// Re-scheduling interval (paper: 1 s).
   Time reschedInterval = sec(1);
   /// Strict equi-partitioning (no filling).

@@ -1,4 +1,4 @@
-// Low-overhead span tracing for the pass pipeline and the daemon's I/O.
+// Low-overhead span tracing for the pass phases and the daemon's I/O.
 //
 // Disabled (the default), a Span is one relaxed atomic load and a branch —
 // cheap enough to leave on every hot path in release builds. Enabled, each
@@ -55,9 +55,9 @@ void disable() noexcept;
 /// resetting between runs.
 void reset() noexcept;
 
-/// Records an explicit span — for regions whose begin and end live in
-/// different scopes (e.g. a pipelined pass: launch on the executor,
-/// commit turns later). No-op when disabled.
+/// Records an explicit span — for regions whose endpoints are measured
+/// anyway (e.g. the "pass" span shares its timestamps with the
+/// pass-latency histogram sample). No-op when disabled.
 inline void span(const char* name, std::uint64_t startNs,
                  std::uint64_t endNs) noexcept {
   if (enabled()) detail::record(name, startNs, endNs);

@@ -216,6 +216,13 @@ void Daemon::onConnectionIo(Connection& conn, short events) {
     metrics::increment(metrics::Event::kDeadPeerDrops);
     teardown(conn);
   }
+  // The burst's replies (REQ_ACKs, PONGs, ...) leave now, not behind a
+  // scheduling pass that may be due in this same loop turn.
+  if (conn.flushArmed && !conn.dead) {
+    Executor::cancel(conn.flushEvent);
+    conn.flushArmed = false;
+    flush(conn);
+  }
 }
 
 void Daemon::handleFrame(Connection& conn, const FrameView& frame) {

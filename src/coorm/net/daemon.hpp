@@ -12,7 +12,8 @@
 //    connection's outbound buffer in delivery order;
 //  - partial reads reassemble through FrameBuffer; writes coalesce per
 //    session (every frame of one pass commit batches into a single flush,
-//    armed as a zero-delay loop event) and fall back to POLLOUT-driven
+//    armed as a zero-delay loop event; the replies to one read burst
+//    flush as soon as the burst is handled) and fall back to POLLOUT-driven
 //    draining under backpressure, with a hard cap that declares a
 //    non-draining peer dead;
 //  - view pushes ship as sequenced VIEWS_DELTA frames: once the client

@@ -8,15 +8,15 @@
 //  - timers: the (time, sequence) EventQueue sim::Engine uses too,
 //    driven by the monotonic clock (CLOCK_MONOTONIC via steady_clock), so
 //    wall-clock jumps never reorder events. Same-time callbacks run in
-//    scheduling order — the property the pipelined Server's fallback
-//    commit event relies on;
+//    scheduling order, as on the simulation engine, so the Server's
+//    notification order is the same on both;
 //  - file descriptors: kReadable/kWritable interest registered per fd, with
 //    the blocking wait bounded by the next due timer.
 //
 // The readiness mechanism is the only thing backends differ in: poll(2)
 // (PollExecutor, portable, O(watched) per wakeup) or epoll (EpollExecutor,
-// Linux, O(ready) per wakeup — the C100k path). The `Server`, pipeline,
-// `Daemon` and `RmsClient` run unmodified on either.
+// Linux, O(ready) per wakeup — the C100k path). The `Server`, `Daemon`
+// and `RmsClient` run unmodified on either.
 #pragma once
 
 #include <chrono>

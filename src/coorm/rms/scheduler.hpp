@@ -121,8 +121,8 @@ class Scheduler {
   /// and every record's start time / effective node-count, writing results
   /// into the snapshot only (`snapshot.writeBack()` applies them to the
   /// live requests). This is the primary pass entry point: it never touches
-  /// live `RequestSet`s or `Request`s, so the pipelined server runs it on a
-  /// background lane while the executor thread keeps mutating live state.
+  /// live `RequestSet`s or `Request`s, so a pass that throws leaves the
+  /// live state as it was.
   ///
   /// With SchedulerOptions::threads > 1 the per-cluster and per-application
   /// work fans out over the scheduler's worker pool; the result is

@@ -7,7 +7,6 @@
 #include "coorm/common/check.hpp"
 #include "coorm/common/log.hpp"
 #include "coorm/common/trace.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/net/wire.hpp"
 #include "coorm/rms/journal.hpp"
 
@@ -64,14 +63,12 @@ bool Session::killed() const {
 }
 
 const View& Session::nonPreemptiveView() const {
-  server_->syncPass();  // views change at commit; observe committed state
   Server::SessionState* st = server_->findSession(app_);
   COORM_CHECK(st != nullptr);
   return st->lastNonPreemptive;
 }
 
 const View& Session::preemptiveView() const {
-  server_->syncPass();
   Server::SessionState* st = server_->findSession(app_);
   COORM_CHECK(st != nullptr);
   return st->lastPreemptive;
@@ -94,33 +91,13 @@ Server::Server(Executor& executor, Machine machine, Config config)
                  }()),
       pool_(machine),
       config_(config) {
-  if (config_.pipeline) lane_ = std::make_unique<AsyncLane>();
   tokenSeed_ = (std::uint64_t{std::random_device{}()} << 32) ^
                std::random_device{}();
 }
 
-Server::~Server() {
-  if (passInFlight_) {
-    // Torn down mid-pass (the driving loop stopped before the commit
-    // event): join the lane and discard the results — they are no longer
-    // observable, and committing would schedule events during teardown.
-    if (lane_ != nullptr && lane_->busy()) {
-      try {
-        lane_->wait();
-      } catch (...) {
-        // A pass that died is discarded like any other in-flight pass;
-        // nothing may escape a destructor.
-      }
-    }
-    Executor::cancel(commitEvent_);
-  }
-}
+Server::~Server() = default;
 
 Session* Server::connect(AppEndpoint& endpoint, std::string name) {
-  // Pure addition: the new session is invisible to an in-flight pass's
-  // snapshot and to its commit (which is scoped to the launch-time
-  // sessions), so connecting overlaps the pass instead of draining it.
-  ++stateEpoch_;
   auto st = std::make_unique<SessionState>();
   st->app = AppId{nextAppId_++};
   st->endpoint = &endpoint;
@@ -155,7 +132,6 @@ RequestSet& Server::setFor(SessionState& st, RequestType type) {
 }
 
 const Request* Server::findRequest(RequestId id) {
-  syncPass();  // scheduling attributes are written at commit
   const auto it = requestIndex_.find(id.value);
   return it != requestIndex_.end() ? it->second.second : nullptr;
 }
@@ -211,14 +187,6 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
     }
     related = it->second.second;
   }
-
-  // Submissions overlap an in-flight pass instead of draining it: they only
-  // *add* requests, which the pass's snapshot does not cover and the commit
-  // ignores — exactly the state the serial server would be in after running
-  // the pass first. The epoch bump makes the overlap observable at commit,
-  // and requestReschedule() below arms the pass that will schedule the new
-  // request.
-  ++stateEpoch_;
 
   markDirty(st);
 
@@ -297,10 +265,6 @@ RequestId Server::handleRequest(SessionState& st, const RequestSpec& spec,
 
 void Server::handleDone(SessionState& st, RequestId id,
                         std::vector<NodeId> released) {
-  // Completions synchronize with an in-flight pass: whether `id` ends or is
-  // cancelled depends on whether the commit started it, and the node IDs it
-  // releases must reach the pool in commit order.
-  syncPass();
   const auto it = requestIndex_.find(id.value);
   if (it == requestIndex_.end() || it->second.first != st.app) return;
   Request* r = it->second.second;
@@ -320,7 +284,6 @@ void Server::handleDone(SessionState& st, RequestId id,
 }
 
 void Server::handleDisconnect(SessionState& st) {
-  syncPass();  // releases node IDs: must observe commit-time pool state
   if (tracing()) trace(toString(st.app), "disconnect");
   journalSessionEvent(rms::RecordType::kSessionClosed, st.app,
                       executor_.now());
@@ -491,7 +454,6 @@ void Server::cancelUnstarted(SessionState& st, Request& r) {
 }
 
 void Server::onExpiryTimer(AppId app, RequestId id) {
-  syncPass();  // ending a request interacts with commit-time starts
   SessionState* st = findSession(app);
   if (st == nullptr || st->killed || st->disconnected) return;
   const auto it = requestIndex_.find(id.value);
@@ -523,7 +485,6 @@ void Server::onExpiryTimer(AppId app, RequestId id) {
   }
 
   executor_.after(config_.violationGrace, [this, app, id] {
-    syncPass();
     SessionState* session = findSession(app);
     if (session == nullptr || session->killed || session->disconnected) return;
     const auto entry = requestIndex_.find(id.value);
@@ -584,13 +545,9 @@ void Server::requestReschedule() {
   });
 }
 
-void Server::runSchedulingPassNow() {
-  syncPass();
-  runPass(/*synchronous=*/true);
-}
+void Server::runSchedulingPassNow() { runPass(); }
 
-void Server::runPass(bool synchronous) {
-  COORM_CHECK(!passInFlight_);
+void Server::runPass() {
   lastPassAt_ = executor_.now();
   ++passCount_;
   metrics::increment(metrics::Event::kSchedulePasses);
@@ -605,9 +562,6 @@ void Server::runPass(bool synchronous) {
     metrics::record(metrics::Histo::kPassPruneUs, passPhases_.pruneUs);
   }
 
-  // Launch: freeze the live request sets. From here until commit the pass
-  // reads only the snapshot, so the executor thread is free to keep
-  // handling protocol messages.
   {
     trace::Span span("capture");
     const metrics::Stopwatch watch;
@@ -631,85 +585,29 @@ void Server::runPass(bool synchronous) {
     passPhases_.captureUs = watch.elapsedMicros();
     metrics::record(metrics::Histo::kPassCaptureUs, passPhases_.captureUs);
   }
-  passEpoch_ = stateEpoch_;
-  passInFlight_ = true;
-  metrics::add(metrics::Gauge::kPassInFlight, 1);
 
-  if (!synchronous && lane_ != nullptr) {
-    // Fallback commit at the pass's own timestamp: scheduled first, it
-    // dispatches before any event that a same-time event schedules later —
-    // the latest deterministic commit point. Any earlier server-touching
-    // event drains the pass and this event is cancelled.
-    commitEvent_ = executor_.schedule(lastPassAt_, [this] { syncPass(); });
-    const Time at = lastPassAt_;
-    lane_->launch([this, at] {
-      trace::Span span("schedule");
-      const metrics::Stopwatch watch;
-      scheduler_.schedulePass(*passSnapshot_, at);
-      passPhases_.scheduleUs = watch.elapsedMicros();
-      metrics::record(metrics::Histo::kPassScheduleUs,
-                      passPhases_.scheduleUs);
-    });
-  } else {
-    try {
-      trace::Span span("schedule");
-      const metrics::Stopwatch watch;
-      scheduler_.schedulePass(*passSnapshot_, lastPassAt_);
-      passPhases_.scheduleUs = watch.elapsedMicros();
-      metrics::record(metrics::Histo::kPassScheduleUs,
-                      passPhases_.scheduleUs);
-    } catch (...) {
-      abandonPass();
-      throw;
-    }
-    commitPass();
-  }
-}
-
-void Server::syncPass() {
-  if (!passInFlight_) return;
-  if (lane_ != nullptr && lane_->busy()) {
-    try {
-      lane_->wait();
-    } catch (...) {
-      abandonPass();
-      throw;
-    }
+  try {
+    trace::Span span("schedule");
+    const metrics::Stopwatch watch;
+    scheduler_.schedulePass(*passSnapshot_, lastPassAt_);
+    passPhases_.scheduleUs = watch.elapsedMicros();
+    metrics::record(metrics::Histo::kPassScheduleUs, passPhases_.scheduleUs);
+  } catch (...) {
+    // A pass that threw computed nothing committable: its partial snapshot
+    // results must never reach the live requests or be pushed as views.
+    // The snapshot's result scratch now diverges from the live requests
+    // (no write-back), so its captured epochs must not let the next pass
+    // skip re-capture; and the scheduler's incremental cache describes a
+    // pass that never committed, so the next pass must not splice from it.
+    passSnapshot_->invalidate();
+    scheduler_.invalidateIncremental();
+    throw;
   }
   commitPass();
 }
 
-void Server::abandonPass() {
-  // A pass that threw computed nothing committable: its partial snapshot
-  // results must never reach the live requests or be pushed as views.
-  // Dropping the in-flight state matches the serial server, where the
-  // exception propagated out of runPass() before any result was stashed;
-  // the next protocol message re-arms a fresh pass as usual. The snapshot's
-  // result scratch now diverges from the live requests (no write-back), so
-  // its captured epochs must not allow the next pass to skip re-capture.
-  passSnapshot_->invalidate();
-  // The scheduler's incremental cache now describes a pass that never
-  // committed; the next pass must not splice from it.
-  scheduler_.invalidateIncremental();
-  passInFlight_ = false;
-  metrics::add(metrics::Gauge::kPassInFlight, -1);
-  Executor::cancel(commitEvent_);
-  commitEvent_ = nullptr;
-}
-
 void Server::commitPass() {
-  COORM_CHECK(passInFlight_);
-  passInFlight_ = false;
-  metrics::add(metrics::Gauge::kPassInFlight, -1);
-  Executor::cancel(commitEvent_);
-  commitEvent_ = nullptr;
-
   {
-    // Reconcile pass output with the live state: snapshot-known requests
-    // get exactly the attributes the serial pass would have written in
-    // place; requests and sessions that arrived mid-pass are not in the
-    // snapshot and stay untouched (their handler already re-armed the
-    // next pass).
     trace::Span span("write_back");
     const metrics::Stopwatch watch;
     passSnapshot_->writeBack();
@@ -738,13 +636,6 @@ void Server::commitPass() {
     passPhases_.writeBackUs = watch.elapsedMicros();
     metrics::record(metrics::Histo::kPassWriteBackUs,
                     passPhases_.writeBackUs);
-  }
-  if (stateEpoch_ != passEpoch_) {
-    ++overlappedPasses_;
-    metrics::increment(metrics::Event::kSchedulePassesOverlapped);
-    COORM_LOG(LogLevel::kDebug, "rms")
-        << "pass " << passCount_ << " overlapped "
-        << (stateEpoch_ - passEpoch_) << " message(s); next pass armed";
   }
 
   {
@@ -844,7 +735,7 @@ bool Server::tryStart(SessionState& st, Request& r, Time now) {
   // in one commit shares one stamp, exactly as under the simulation engine
   // (whose clock is frozen during a pass). Per-request clock reads would
   // let wall-clock stamps straddle a millisecond and split occupation
-  // breakpoints that the serial reference merges.
+  // breakpoints that the in-process reference merges.
   if (r.type != RequestType::kPreAllocation) {
     const NodeCount needed =
         r.type == RequestType::kPreemptible ? r.nAlloc : r.nodes;
@@ -955,10 +846,8 @@ void Server::checkViolations() {
     const AppId app = st.app;
     st.violationTimer =
         executor_.after(config_.violationGrace, [this, app] {
-          // Committing here may cancel this very timer; the semantic
-          // re-check below (held vs the committed view at fire time) makes
-          // the kill decision identical to the serial server either way.
-          syncPass();
+          // Re-check against the views current at fire time: a later pass
+          // may have widened the preemptive view since the timer was armed.
           SessionState* session = findSession(app);
           if (session == nullptr || session->killed || session->disconnected) {
             return;
@@ -986,13 +875,8 @@ void Server::checkViolations() {
 }
 
 void Server::pushViews() {
-  // Scoped to the launch-time sessions: an application that connected while
-  // the pass was in flight has no computed views yet (the serial server
-  // would not have seen it either); it gets its first push from the pass
-  // its connect() armed.
   for (SessionState* stPtr : passApps_) {
     SessionState& st = *stPtr;
-    if (st.killed || st.disconnected) continue;
     if (st.endpoint == nullptr) continue;  // detached: resume re-pushes
     // lastNonPreemptive/lastPreemptive were refreshed by runPass(); push
     // them if the application has not seen these exact views yet.
@@ -1162,7 +1046,6 @@ void Server::attachJournal(rms::Journal* journal) {
 
 void Server::journalSnapshotNow() {
   if (journal_ == nullptr) return;
-  syncPass();  // snapshot committed state only
   journal_->compact(encodeSnapshot());
 }
 
@@ -1728,7 +1611,6 @@ void Server::dropUnresumedBefore(Time cutoff) {
 
 Session* Server::resumeSession(AppId app, std::uint64_t token,
                                AppEndpoint& endpoint) {
-  syncPass();  // re-announcements below must reflect committed state
   SessionState* st = findSession(app);
   if (st == nullptr || st->killed || st->disconnected ||
       st->token != token) {

@@ -7,21 +7,12 @@
 //    request() and done() messages;
 //  - a scheduling pass runs at most once per re-scheduling interval
 //    (administrator parameter, §3.2), coalescing bursts of messages;
-//  - with Config::pipeline (the default), each pass is two-staged: the pass
-//    *launch* freezes every request set into an immutable
-//    RequestSetSnapshot and hands the pure scheduling computation to a
-//    background lane, while the executor thread keeps accepting protocol
-//    messages; a deterministic *commit* step joins the pass, writes the
-//    results back, pushes views and starts due requests. Any event that
-//    must observe pass results (done(), disconnect(), timers, view reads)
-//    commits the in-flight pass first; request() and connect() only add
-//    state the snapshot does not cover, so they proceed concurrently and
-//    the commit reconciles: snapshot-known requests receive exactly the
-//    results the serial pass would have written, mid-pass arrivals stay
-//    unscheduled until the next pass, which their handler has already
-//    re-armed. Observable behaviour is therefore bit-identical to the
-//    serial back-to-back server (Config::pipeline = false) for any
-//    `threads` setting — see README "Pipelined serving";
+//  - each pass runs inline on the executor thread: it prunes ended
+//    requests, captures the request sets into a RequestSetSnapshot,
+//    schedules against that snapshot (fanned out over Config::threads
+//    workers) and commits — writes the results back, pushes views and
+//    starts due requests. Output is bit-identical for any `threads`
+//    setting — see README "Serving loop";
 //  - when a request's computed start time arrives and enough node IDs are
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
@@ -55,8 +46,6 @@
 #include "coorm/sim/trace.hpp"
 
 namespace coorm {
-
-class AsyncLane;
 
 namespace rms {
 class Journal;
@@ -157,20 +146,12 @@ class Server {
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
     /// Worker threads for the scheduling pass (SchedulerOptions::threads);
-    /// <= 1 runs every pass on the server's thread (pipeline mode still
-    /// uses its background lane). Any value produces bit-identical
-    /// schedules.
+    /// <= 1 runs every pass on the server's thread alone. Any value
+    /// produces bit-identical schedules.
     int threads = 1;
     /// Wrap bare non-preemptible requests of applications without an
     /// explicit pre-allocation in implicit pre-allocations (§3.2).
     bool implicitWrap = true;
-    /// Two-stage pipelined serving (the default): passes run against
-    /// immutable request-set snapshots on a background lane, overlapping
-    /// protocol handling; a deterministic commit applies the results.
-    /// `false` restores the serial back-to-back server (each pass runs
-    /// inline on the executor thread). Observable behaviour is
-    /// bit-identical either way.
-    bool pipeline = true;
     /// Incremental scheduling passes (SchedulerOptions::incremental): in
     /// steady state, epoch-clean all-started applications keep their
     /// previous allocation as a renewed lease (their views are served from
@@ -194,7 +175,6 @@ class Server {
       config.reschedInterval = runtime.reschedInterval;
       config.strictEquiPartition = runtime.strictEquiPartition;
       config.threads = runtime.threads;
-      config.pipeline = runtime.pipeline;
       config.incremental = runtime.incremental;
       return config;
     }
@@ -275,13 +255,6 @@ class Server {
   /// Number of scheduling passes run so far (test/bench introspection).
   [[nodiscard]] std::uint64_t passCount() const { return passCount_; }
 
-  /// Pipelined passes that had protocol messages (request()/connect())
-  /// arrive while the pass was in flight — i.e. passes that actually
-  /// overlapped protocol handling (test/bench introspection).
-  [[nodiscard]] std::uint64_t overlappedPassCount() const {
-    return overlappedPasses_;
-  }
-
   /// Cumulative per-app snapshot capture outcomes across all passes
   /// (test/bench introspection): in steady state untouched apps are
   /// `skipped` thanks to the mutation-epoch dirty flag.
@@ -297,13 +270,11 @@ class Server {
     return metrics::snapshot();
   }
 
-  /// Force a scheduling pass now, bypassing the re-scheduling interval;
-  /// runs launch and commit back to back regardless of Config::pipeline
+  /// Force a scheduling pass now, bypassing the re-scheduling interval
   /// (used by tests and the throughput benchmark).
   void runSchedulingPassNow();
 
-  /// Look up a request (nullptr if unknown or already pruned). Commits any
-  /// in-flight pass first so scheduling attributes are current. Test
+  /// Look up a request (nullptr if unknown or already pruned). Test
   /// helper.
   [[nodiscard]] const Request* findRequest(RequestId id);
 
@@ -360,20 +331,12 @@ class Server {
 
   // --- scheduling ----------------------------------------------------------
   void requestReschedule();
-  /// Pass launch: prunes, freezes the request sets into a snapshot and
-  /// either hands the pass to the background lane (pipeline mode) or runs
-  /// it inline; a `synchronous` launch always commits before returning.
-  void runPass(bool synchronous = false);
-  /// Commits any in-flight pass (joining the lane first): writes the
-  /// snapshot results back, stashes and pushes views, starts due requests
-  /// and checks violations. Every code path that observes pass results or
-  /// mutates state the pass start sequence depends on calls this first.
-  void syncPass();
+  /// One scheduling pass: prunes, captures the request sets into the
+  /// snapshot, schedules against it and commits.
+  void runPass();
+  /// Writes the snapshot results back, stashes and pushes views, starts
+  /// due requests and checks violations.
   void commitPass();
-  /// Drops an in-flight pass whose computation threw: no write-back, no
-  /// view push — the exception propagates to the caller exactly as the
-  /// serial server's inline pass would have propagated it.
-  void abandonPass();
   void startDueRequests();
   bool tryStart(SessionState& st, Request& r, Time now);
   void pushViews();
@@ -456,23 +419,12 @@ class Server {
   std::uint64_t replayedRecords_ = 0;
   std::vector<std::uint8_t> journalScratch_;  ///< reused record buffer
 
-  // --- pipeline state (all owned by the executor thread) -------------------
-  std::unique_ptr<AsyncLane> lane_;  ///< present iff Config::pipeline
-  std::unique_ptr<RequestSetSnapshot> passSnapshot_;  ///< in-flight image
-  std::vector<SessionState*> passApps_;  ///< launch-time live sessions
-  EventHandle commitEvent_;  ///< fallback commit; cancelled on early drain
-  bool passInFlight_ = false;
-  /// Bumped by every message that mutates live state without draining the
-  /// pass (request()/connect()); compared against the launch-time value at
-  /// commit to detect and count overlapped passes.
-  std::uint64_t stateEpoch_ = 0;
-  std::uint64_t passEpoch_ = 0;
-  std::uint64_t overlappedPasses_ = 0;
+  // --- pass state ----------------------------------------------------------
+  std::unique_ptr<RequestSetSnapshot> passSnapshot_;  ///< reused pass image
+  std::vector<SessionState*> passApps_;  ///< sessions captured by the pass
 
-  /// Wall-time breakdown of the in-flight/last pass (steady-clock ns and
-  /// per-phase µs). `scheduleUs` is written on the lane thread inside the
-  /// launched closure; the lane's completion handoff orders it before the
-  /// commit that reads it — the same contract passSnapshot_ relies on.
+  /// Wall-time breakdown of the current/last pass (steady-clock ns and
+  /// per-phase µs).
   struct PassPhases {
     std::uint64_t startNs = 0;
     std::uint64_t pruneUs = 0;

@@ -44,7 +44,7 @@ class Engine final : public Executor {
   /// Cancelled events still count until they are popped, so this is a
   /// lower bound on the time of the next event actually dispatched. Lets
   /// a driver bound step() against a horizon without popping (the
-  /// server-pipeline benchmark's drive loop; see also runUntil()).
+  /// BM_ServerPipeline benchmark's drive loop; see also runUntil()).
   [[nodiscard]] Time nextEventAt() const { return queue_.nextAt(); }
 
  private:

@@ -100,29 +100,6 @@ TEST(Cli, ParsesThreads) {
   EXPECT_EQ(r.options.runtime.threads, 4);
 }
 
-TEST(Cli, ParsesPipeline) {
-  // Pipelined serving by default.
-  EXPECT_TRUE(parse({}).options.runtime.pipeline);
-  const ParseResult off = parse({"--pipeline", "off"});
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(off.options.runtime.pipeline);
-  const ParseResult on = parse({"--pipeline", "on"});
-  ASSERT_TRUE(on.ok());
-  EXPECT_TRUE(on.options.runtime.pipeline);
-  EXPECT_EQ(parse({"--pipeline", "maybe"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--pipeline"}).status, ParseStatus::kError);
-}
-
-TEST(Cli, NoPipelineAliasMatchesPipelineOff) {
-  // The pre-RuntimeOptions spelling must stay equivalent to the new one.
-  const ParseResult alias = parse({"--no-pipeline"});
-  const ParseResult canonical = parse({"--pipeline", "off"});
-  ASSERT_TRUE(alias.ok());
-  ASSERT_TRUE(canonical.ok());
-  EXPECT_EQ(alias.options.runtime.pipeline, canonical.options.runtime.pipeline);
-  EXPECT_FALSE(alias.options.runtime.pipeline);
-}
-
 TEST(Cli, ParsesStatsQuery) {
   const ParseResult r = parse({"--stats", "--connect", "127.0.0.1:7788"});
   ASSERT_TRUE(r.ok());
@@ -277,7 +254,7 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--pipeline", "--no-pipeline", "--until", "--timeline",
+        "--threads", "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
         "--stats-all", "--trace-out", "--slow-pass-ms", "--metrics-listen",
         "--help"}) {

@@ -31,6 +31,13 @@ namespace {
 using metrics::Event;
 using metrics::Gauge;
 
+// STATS ids are the enum values: deleting or reordering an entry would
+// silently renumber everything after it. Retired entries stay in place.
+static_assert(static_cast<int>(Event::kSchedulePassesOverlapped) == 1);
+static_assert(static_cast<int>(Event::kViewsPushed) == 34);
+static_assert(static_cast<int>(Gauge::kPassInFlight) == 1);
+static_assert(static_cast<int>(Gauge::kArenaBytesHeld) == 2);
+
 TEST(MetricsCatalogue, NamesAreUniqueSnakeCase) {
   std::set<std::string> seen;
   const auto check = [&](std::string_view name) {

@@ -39,12 +39,11 @@ std::size_t eventIndex(metrics::Event event) {
   return static_cast<std::size_t>(event);
 }
 
-/// Serial (non-pipelined) config: the reference the acceptance bar names.
+/// The in-process reference server's config (matches kDaemonArgs).
 Server::Config chaosConfig() {
   Server::Config config;
   config.reschedInterval = msec(100);
   config.violationGrace = sec(5);
-  config.pipeline = false;
   return config;
 }
 
@@ -53,13 +52,13 @@ Server::Config chaosConfig() {
 // invisible through all three (the restarted daemon knows nothing of the
 // old delta sequence, so every resumed session restarts from a full push).
 const std::vector<std::string> kDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--no-pipeline",
+    "--nodes", "16", "--resched", "0.1",
     "--resume-grace", "30", "--io-backend", "epoll",
     "--delta-views", "on", "--coalesce", "on"};
 
 /// The portable poll(2) fallback, same everything else.
 const std::vector<std::string> kPollDaemonArgs = {
-    "--nodes", "16", "--resched", "0.1", "--no-pipeline",
+    "--nodes", "16", "--resched", "0.1",
     "--resume-grace", "30", "--io-backend", "poll",
     "--delta-views", "on", "--coalesce", "on"};
 

@@ -56,9 +56,9 @@ TEST_P(IoExecutorContract, TimersFireInTimeThenSchedulingOrder) {
 }
 
 TEST_P(IoExecutorContract, SameTimeChainsRunInSchedulingOrder) {
-  // The pipelined server's commit-event pattern: a same-time event
-  // scheduled first runs before events that a same-time callback schedules
-  // afterwards.
+  // A same-time event scheduled first runs before events that a same-time
+  // callback schedules afterwards — the order the simulation engine uses,
+  // so the Server's notifications come out the same on either executor.
   std::vector<int> order;
   const Time at = executor().now();
   executor().schedule(at, [&] {

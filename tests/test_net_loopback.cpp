@@ -1,7 +1,8 @@
 // Daemon/client mechanics over loopback TCP: handshake, synchronous
 // request acks, view/start/end delivery, graceful and abrupt departures
 // (dead-peer cleanup mapped to disconnect), partial-frame reassembly on
-// the daemon's read path, and protocol-error handling — the transport
+// the daemon's read path, protocol-error handling, and replies leaving
+// ahead of a scheduling pass due in the same loop turn — the transport
 // behaviours the differential suite builds on.
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <memory>
 
+#include "coorm/common/trace.hpp"
 #include "net_harness.hpp"
 
 namespace coorm::nettest {
@@ -264,6 +266,105 @@ TEST(NetLoopback, ManyClientsInterleaveCleanly) {
     EXPECT_FALSE(app->killed);
   }
 }
+
+// --- reply flush vs a due pass ----------------------------------------------
+
+class ReplyFlush : public ::testing::TestWithParam<IoBackend> {
+ protected:
+  void TearDown() override {
+    trace::disable();
+    trace::reset();
+  }
+};
+
+/// The first span named `name` (by start time); fails the test if none.
+trace::SpanEvent firstSpan(const std::vector<trace::SpanEvent>& events,
+                           const char* name) {
+  const trace::SpanEvent* first = nullptr;
+  for (const trace::SpanEvent& e : events) {
+    if (std::string_view(e.name) != name) continue;
+    if (first == nullptr || e.startNs < first->startNs) first = &e;
+  }
+  EXPECT_NE(first, nullptr) << "no " << name << " span";
+  return first != nullptr ? *first : trace::SpanEvent{};
+}
+
+// A REQUEST that arrives in the loop turn in which a scheduling pass is due
+// gets its REQ_ACK onto the wire before the pass starts: the daemon flushes
+// a read burst's replies as soon as the burst is handled, instead of
+// leaving them to the zero-delay flush event that dispatches behind the
+// (earlier-timestamped) pass.
+TEST_P(ReplyFlush, RequestAckLeavesBeforeADuePass) {
+  auto loop = net::makeIoExecutor(GetParam());
+  Server::Config config;
+  config.reschedInterval = msec(50);
+  Server server(*loop, Machine::single(16), config);
+  net::Daemon daemon(*loop, server, net::Daemon::Config{{"127.0.0.1", 0}});
+  RawConnection raw(daemon.port());
+
+  // HELLO, then let the pass its connect() armed run and flush.
+  std::vector<std::uint8_t> bytes;
+  encode(bytes, net::HelloMsg{"flush"});
+  raw.sendAll(bytes, bytes.size());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.passCount() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    loop->runOne(msec(5));
+  }
+  ASSERT_EQ(server.passCount(), 1u);
+  for (int i = 0; i < 5; ++i) loop->runOne(0);
+  net::FrameBuffer buffer;
+  std::vector<std::uint8_t> storage;
+  net::FrameView frame;
+  ASSERT_TRUE(raw.readFrame(frame, storage, buffer));
+  ASSERT_EQ(frame.type, net::MsgType::kWelcome);
+
+  // Arm the next pass (an in-process connect), put a REQUEST on the wire,
+  // and let the pass fall due before the loop looks at either.
+  class Silent : public AppEndpoint {
+  } local;
+  server.connect(local);
+  net::RequestMsg request;
+  request.cookie = 5;
+  request.spec.nodes = 2;
+  request.spec.duration = sec(30);
+  bytes.clear();
+  encode(bytes, request);
+  raw.sendAll(bytes, bytes.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+
+  trace::reset();
+  trace::enable();
+  loop->runOne(0);  // one turn: the REQUEST's read burst, then due timers
+  trace::disable();
+  ASSERT_EQ(server.passCount(), 2u) << "the pass was not due in that turn";
+
+  const std::vector<trace::SpanEvent> events = trace::collect();
+  const trace::SpanEvent flush = firstSpan(events, "flush");
+  const trace::SpanEvent pass = firstSpan(events, "pass");
+  EXPECT_LE(firstSpan(events, "request").endNs, flush.startNs);
+  EXPECT_LE(flush.endNs, pass.startNs) << "REQ_ACK left after the pass";
+
+  // The ack is on the wire already: no further loop turn is needed.
+  bool acked = false;
+  while (!acked && raw.readFrame(frame, storage, buffer)) {
+    if (frame.type != net::MsgType::kRequestAck) continue;
+    net::RequestAckMsg ack;
+    ASSERT_TRUE(decode(frame.payload, ack));
+    EXPECT_EQ(ack.cookie, 5u);
+    EXPECT_TRUE(ack.id.valid());
+    acked = true;
+  }
+  EXPECT_TRUE(acked);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ReplyFlush,
+                         ::testing::Values(IoBackend::kPoll,
+                                           IoBackend::kEpoll),
+                         [](const auto& backendInfo) {
+                           return std::string(net::toString(backendInfo.param));
+                         });
 
 }  // namespace
 }  // namespace coorm::nettest

@@ -1,24 +1,13 @@
-// Differential suite for the pipelined server (ISSUE 4).
+// Determinism suite for the server's scheduling passes.
 //
-// The two-stage pipeline (snapshot launch on a background lane plus a
-// deterministic commit) promises:
-//  1. application-observable output — every endpoint callback with its
-//     payload, final node-pool state, pass count — is *bit-identical* to
-//     the serial back-to-back server (Config::pipeline = false), for any
-//     `threads` setting;
-//  2. pipelined runs are fully deterministic: identical protocol traces
-//     across repeats and across thread counts;
-//  3. passes really do overlap protocol handling (request bursts arriving
-//     while a pass is in flight), exercising the commit's reconciliation.
-//
-// Within a single timestamp the *server-internal* trace may order a
-// mid-pass "request" record before the commit's "start"/"views" records
-// (the serial server, running the pass atomically, logs them the other way
-// round); the suite therefore compares traces exactly across pipelined
-// variants and per-timestamp-canonicalized against the serial server.
+// A pass runs inline on the executor thread and fans its per-cluster and
+// per-application work out over Config::threads workers. The suite pins
+// that the fan-out is invisible: for a fixed scenario and seed, every
+// endpoint callback with its payload, the final node-pool state, the pass
+// count and the full protocol trace are *exactly* equal at every thread
+// count and across repeat runs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -100,9 +89,8 @@ class ScriptApp : public AppEndpoint {
   void scheduleAction() {
     // Half-second action grid against the server's 1 s re-scheduling
     // interval: a message at X.5 s arms the pass for (X+1).0 s, and the
-    // *next* actions scheduled after that arming can land exactly at
-    // (X+1).0 s — i.e. dispatch while that pass is in flight. That is the
-    // interleaving this suite exists to exercise.
+    // *next* actions scheduled after that arming land exactly at (X+1).0 s,
+    // right behind the pass in the same-time event order.
     engine_.after(msec(500) * rng_.uniformInt(1, 8), [this] {
       if (done_ || killed_) return;
       const int burst = static_cast<int>(rng_.uniformInt(1, 3));
@@ -228,10 +216,9 @@ struct Outcome {
   NodeCount freeC0 = 0;
   NodeCount freeC1 = 0;
   std::uint64_t passes = 0;
-  std::uint64_t overlapped = 0;
 };
 
-Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
+Outcome runScenario(std::uint64_t seed, int threads,
                     int napps = 5, Time horizon = minutes(8)) {
   Engine engine;
   Machine machine;
@@ -240,7 +227,6 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.pipeline = pipeline;
   config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
@@ -249,8 +235,7 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   Rng rng(seed);
   std::vector<std::unique_ptr<ScriptApp>> apps;
   for (int i = 0; i < napps; ++i) {
-    // Some applications leave mid-run; one joins late (connect() is one of
-    // the two messages that overlap an in-flight pass).
+    // Some applications leave mid-run; one joins late.
     const Time disconnectAt =
         rng.uniformInt(0, 3) == 0 ? sec(rng.uniformInt(60, 400)) : 0;
     apps.push_back(std::make_unique<ScriptApp>(
@@ -274,28 +259,7 @@ Outcome runScenario(std::uint64_t seed, bool pipeline, int threads,
   outcome.freeC0 = server.pool().freeCount(kC0);
   outcome.freeC1 = server.pool().freeCount(kC1);
   outcome.passes = server.passCount();
-  outcome.overlapped = server.overlappedPassCount();
   return outcome;
-}
-
-/// Stable per-timestamp canonicalization: within one timestamp the
-/// pipelined server may log a mid-pass "request" before the commit's
-/// records; sorting each same-timestamp block compares content and
-/// cross-timestamp order while ignoring that one legal reordering.
-std::vector<std::string> canonicalized(std::vector<std::string> trace) {
-  auto blockStart = trace.begin();
-  while (blockStart != trace.end()) {
-    const std::string stamp =
-        blockStart->substr(0, blockStart->find(' ') + 1);
-    auto blockEnd = blockStart;
-    while (blockEnd != trace.end() &&
-           blockEnd->compare(0, stamp.size(), stamp) == 0) {
-      ++blockEnd;
-    }
-    std::sort(blockStart, blockEnd);
-    blockStart = blockEnd;
-  }
-  return trace;
 }
 
 void expectSameOutput(const Outcome& a, const Outcome& b,
@@ -310,47 +274,26 @@ void expectSameOutput(const Outcome& a, const Outcome& b,
   EXPECT_EQ(a.passes, b.passes);
 }
 
-TEST(ServerPipeline, OutputBitIdenticalToSerialServerAcrossThreadCounts) {
-  std::uint64_t totalOverlapped = 0;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const Outcome serial = runScenario(seed, /*pipeline=*/false, 1);
-    EXPECT_EQ(serial.overlapped, 0u);  // serial passes never overlap
-    for (const int threads : {1, 2, 4, 8}) {
-      const Outcome pipelined = runScenario(seed, /*pipeline=*/true, threads);
-      expectSameOutput(serial, pipelined,
+TEST(ServerDeterminism, TracesIdenticalAcrossThreadCountsAndRepeats) {
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14}) {
+    const Outcome reference = runScenario(seed, 1);
+    const Outcome repeat = runScenario(seed, 1);
+    EXPECT_EQ(reference.trace, repeat.trace) << "repeat seed=" << seed;
+    expectSameOutput(reference, repeat, "repeat seed=" + std::to_string(seed));
+    for (const int threads : {2, 4, 8}) {
+      const Outcome other = runScenario(seed, threads);
+      EXPECT_EQ(reference.trace, other.trace)
+          << "seed=" << seed << " threads=" << threads;
+      expectSameOutput(reference, other,
                        "seed=" + std::to_string(seed) +
                            " threads=" + std::to_string(threads));
-      EXPECT_EQ(canonicalized(serial.trace), canonicalized(pipelined.trace))
-          << "seed=" << seed << " threads=" << threads;
-      totalOverlapped += pipelined.overlapped;
-    }
-  }
-  // The suite must actually exercise the overlap path: across the seeds,
-  // some passes saw request()/connect() arrive while in flight.
-  EXPECT_GT(totalOverlapped, 0u);
-}
-
-TEST(ServerPipeline, PipelinedTracesAreDeterministic) {
-  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
-    const Outcome first = runScenario(seed, /*pipeline=*/true, 2);
-    const Outcome repeat = runScenario(seed, /*pipeline=*/true, 2);
-    EXPECT_EQ(first.trace, repeat.trace) << "seed=" << seed;  // exact
-    expectSameOutput(first, repeat, "repeat seed=" + std::to_string(seed));
-    for (const int threads : {1, 4}) {
-      const Outcome other = runScenario(seed, /*pipeline=*/true, threads);
-      EXPECT_EQ(first.trace, other.trace)
-          << "seed=" << seed << " threads=" << threads;
-      expectSameOutput(first, other,
-                       "seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-      EXPECT_EQ(first.overlapped, other.overlapped);
     }
   }
 }
 
-TEST(ServerPipeline, RunSchedulingPassNowCommitsSynchronously) {
+TEST(ServerDeterminism, RunSchedulingPassNowCommitsSynchronously) {
   Engine engine;
-  Server server(engine, Machine::single(8));  // pipeline defaults on
+  Server server(engine, Machine::single(8));
 
   class Silent : public AppEndpoint {
   } endpoint;
@@ -368,7 +311,7 @@ TEST(ServerPipeline, RunSchedulingPassNowCommitsSynchronously) {
   EXPECT_TRUE(r->started());  // committed: the request actually started
 }
 
-TEST(ServerPipeline, SessionAccessorsObserveCommittedViews) {
+TEST(ServerDeterminism, SessionAccessorsObserveCommittedViews) {
   Engine engine;
   Server::Config config;
   config.reschedInterval = sec(1);

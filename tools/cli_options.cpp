@@ -21,12 +21,9 @@ void printUsage(std::ostream& out) {
          "  --jobs N           add N synthetic rigid jobs\n"
          "  --swf FILE         replay a rigid SWF trace\n"
          "  --strict           strict equi-partitioning (no filling)\n"
-         "  --threads N        scheduler worker threads (default 1; any\n"
+         "  --threads N        worker threads each scheduling pass fans out\n"
+         "                     over (default 1 = the loop thread alone; any\n"
          "                     value yields bit-identical schedules)\n"
-         "  --pipeline on|off  two-stage pipelined serving (default on);\n"
-         "                     off = serial back-to-back scheduling passes\n"
-         "                     (identical results). --no-pipeline is an\n"
-         "                     alias for --pipeline off\n"
          "  --incremental on|off\n"
          "                     incremental scheduling passes (default on);\n"
          "                     off = every pass re-derives every app\n"
@@ -111,17 +108,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.runtime.strictEquiPartition = true;
     } else if (arg == "--threads" && (v = value(i))) {
       options.runtime.threads = std::atoi(v);
-    } else if (arg == "--pipeline" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.runtime.pipeline = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.runtime.pipeline = false;
-      } else {
-        result.error = std::string("bad --pipeline value (want on|off): ") + v;
-        return result;
-      }
-    } else if (arg == "--no-pipeline") {  // alias for --pipeline off
-      options.runtime.pipeline = false;
     } else if (arg == "--incremental" && (v = value(i))) {
       if (std::strcmp(v, "on") == 0) {
         options.runtime.incremental = true;

@@ -34,11 +34,9 @@ struct Options {
   std::vector<Time> psaTasks;
   int syntheticJobs = 0;
   std::string swfPath;
-  /// The shared runtime-tuning knobs (threads, pipeline, resched interval,
-  /// strict equi-partitioning), parsed once here and projected into
-  /// Server::Config / SchedulerOptions by the drivers. The old flag
-  /// spellings (--strict, --threads, --no-pipeline, --resched) remain
-  /// as aliases for the canonical forms.
+  /// The shared runtime-tuning knobs (threads, resched interval, strict
+  /// equi-partitioning, incremental passes, io backend), parsed once here
+  /// and projected into Server::Config / SchedulerOptions by the drivers.
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;
