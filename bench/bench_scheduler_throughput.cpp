@@ -358,7 +358,7 @@ BENCHMARK(BM_ServerPipeline)
     ->Args({64, 2})
     ->Unit(benchmark::kMillisecond);
 
-// Args: {napps, churnPct, incremental}. Steady-state lease population:
+// Args: {napps, churnPct, warm}. Steady-state lease population:
 // every application holds one started preemptible lease on one of 16
 // congested 64-node clusters (sum of wants far above capacity, so the
 // Step 2 equipartition works every breakpoint), with finite staggered
@@ -367,16 +367,17 @@ BENCHMARK(BM_ServerPipeline)
 // local breakpoint move — plus the epoch bump the server does) and runs
 // one recapture + schedulePass + writeBack round at a fixed `now`.
 //
-// incremental=0 is the full-recompute reference; the /1 variant divided
-// into it is the O(changed) pass-latency claim (ISSUE 8 gates on >= 5x at
-// 10000 apps / 1% churn). The pass_apps_clean / step2_ranges_reused
-// counters (process-global deltas over the measured loop) pin that the
-// steady state really is served from the cache — CI fails the bench job
-// if either stays at zero.
+// warm=0 drops the pass cache (outside the timed region) before every
+// pass, so each measured pass is a cold full recompute; the /1 variant
+// divided into it is the O(changed) pass-latency claim (>= 5x at 10000
+// apps / 1% churn). The pass_apps_clean / step2_ranges_reused counters
+// (process-global deltas over the measured loop) pin that the warm steady
+// state really is served from the cache — CI fails the bench job if
+// either stays at zero.
 void BM_ScheduleIncremental(benchmark::State& state) {
   const int napps = static_cast<int>(state.range(0));
   const int churnPct = static_cast<int>(state.range(1));
-  const bool incremental = state.range(2) != 0;
+  const bool warm = state.range(2) != 0;
   constexpr int kClusters = 16;
   constexpr NodeCount kNodesPerCluster = 64;
   const Time kNow = sec(60);
@@ -425,11 +426,8 @@ void BM_ScheduleIncremental(benchmark::State& state) {
     population.apps.push_back(std::move(app));
   }
 
-  Scheduler scheduler(population.machine, Scheduler::Config{}, [&] {
-    SchedulerOptions options{1};
-    options.incremental = incremental;
-    return options;
-  }());
+  Scheduler scheduler(population.machine, Scheduler::Config{},
+                      SchedulerOptions{1});
   RequestSetSnapshot snapshot;
 
   const auto pass = [&] {
@@ -453,12 +451,13 @@ void BM_ScheduleIncremental(benchmark::State& state) {
       if (lease->duration > sec(12000)) lease->duration = sec(600);
       ++app.epoch;
     }
+    if (!warm) scheduler.invalidateIncremental();
     state.ResumeTiming();
     pass();
   }
   const metrics::Snapshot after = metrics::snapshot();
   state.counters["apps"] = static_cast<double>(napps);
-  if (incremental) {
+  if (warm) {
     state.counters["pass_apps_clean"] = static_cast<double>(
         after[metrics::Event::kPassAppsClean] -
         before[metrics::Event::kPassAppsClean]);

@@ -1,16 +1,15 @@
 // The one runtime-tuning surface shared by every entry point.
 //
-// Scheduler worker threads, the re-scheduling interval and strict
-// equi-partitioning used to be scattered across
-// SchedulerOptions, Server::Config and per-tool flag parsing.
-// RuntimeOptions collects them: tools parse into it once
-// (tools/cli_options.hpp), Server::Config::fromRuntime() and
-// SchedulerOptions(const RuntimeOptions&) project out the layer-specific
-// subsets. Endpoints stay in cli::Options — they are per-tool wiring, not
-// runtime tuning.
+// Four knobs: scheduler worker threads, the re-scheduling interval, strict
+// equi-partitioning and the io readiness backend. Tools parse into
+// RuntimeOptions once (tools/cli_options.hpp); Server::Config::fromRuntime()
+// and SchedulerOptions(const RuntimeOptions&) project out the
+// layer-specific subsets. Endpoints stay in cli::Options — they are
+// per-tool wiring, not runtime tuning. There is no switch for the
+// scheduler's pass-to-pass cache: a cold cache is the full recompute.
 //
-// Every knob keeps the paper-faithful default; any combination yields
-// bit-identical schedules (threads change only latency).
+// Every knob keeps the paper-faithful default; threads and the io backend
+// change only latency, never a schedule.
 #pragma once
 
 #include "coorm/common/time.hpp"
@@ -34,12 +33,6 @@ struct RuntimeOptions {
   Time reschedInterval = sec(1);
   /// Strict equi-partitioning (no filling).
   bool strictEquiPartition = false;
-  /// Incremental scheduling passes: epoch-clean all-started applications
-  /// are served from the previous pass's cache and eqSchedule Step 2
-  /// rewrites only the breakpoint ranges whose inputs changed. Output is
-  /// bit-identical to a full recompute; false restores the always-full
-  /// pass.
-  bool incremental = true;
   /// IO readiness backend for daemon/client event loops (--io-backend).
   /// Scheduling output is identical either way; only wakeup cost differs.
   IoBackend ioBackend = IoBackend::kEpoll;

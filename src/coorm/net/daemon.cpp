@@ -410,8 +410,7 @@ void Daemon::send(Connection& conn, MsgType type) {
   // dispatched by the same runOne() that delivered the inputs, so no
   // extra wakeup and no added latency. The high-water mark bounds how
   // much a burst can buffer before the kernel gets a look at it.
-  if (!config_.coalesceWrites ||
-      conn.outbound.size() - conn.outboundPos >= config_.flushHighWater) {
+  if (conn.outbound.size() - conn.outboundPos >= config_.flushHighWater) {
     flush(conn);
     return;
   }

@@ -60,13 +60,10 @@ class Daemon {
     /// Sequenced delta view pushes (VIEWS_DELTA). false restores the v2
     /// behaviour of a whole VIEWS frame per pass.
     bool deltaViews = true;
-    /// Batch frames per session and flush once per loop turn (all frames
-    /// of one pass commit become one send syscall). false flushes on
-    /// every frame, as in PR 5–8.
-    bool coalesceWrites = true;
-    /// Coalescing safety valve: a session whose unflushed bytes reach
-    /// this mark flushes immediately instead of waiting for the
-    /// zero-delay flush event.
+    /// Frames are batched per session and flushed once per loop turn (all
+    /// frames of one pass commit become one send syscall). Safety valve: a
+    /// session whose unflushed bytes reach this mark flushes immediately
+    /// instead of waiting for the zero-delay flush event.
     std::size_t flushHighWater = 256u << 10;
   };
 

@@ -84,4 +84,14 @@ bool NodePool::isFree(NodeId node) const {
   return st.free[index];
 }
 
+bool NodePool::contains(NodeId node) const {
+  for (const ClusterState& st : clusters_) {
+    if (st.id == node.cluster) {
+      return node.index >= 0 &&
+             static_cast<std::size_t>(node.index) < st.free.size();
+    }
+  }
+  return false;
+}
+
 }  // namespace coorm

@@ -37,6 +37,11 @@ class NodePool {
 
   [[nodiscard]] bool isFree(NodeId node) const;
 
+  /// True iff `node` names a cluster of this machine and an index inside
+  /// it. Every other member aborts on such a node, so input that did not
+  /// come from this pool (a journal) is checked here first.
+  [[nodiscard]] bool contains(NodeId node) const;
+
  private:
   struct ClusterState {
     ClusterId id{};

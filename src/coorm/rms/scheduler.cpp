@@ -103,8 +103,35 @@ std::vector<NodeCount> fairDistribute(NodeCount capacity,
   return gives;
 }
 
-/// Pass-to-pass cache of the incremental scheduling path. Everything is
-/// indexed by application position in the snapshot (the scheduler requires
+/// eqSchedule Step 2's output for one cluster. Applications without
+/// preemptible occupation there ("absent") all receive the same idle
+/// series, so it is held once: `present` lists the occupying applications
+/// (ascending) and `outputs` their series, one per slot. `idle` is valid
+/// when `hasIdle` (some application is absent, or strict mode, where it is
+/// everyone's fixed share).
+struct ClusterSeries {
+  std::vector<std::uint32_t> present;
+  std::vector<StepFunction> outputs;
+  StepFunction idle;
+  bool hasIdle = false;
+
+  /// Calls fn(i, series) for each of `napps` applications in order, with
+  /// the series application i gets on this cluster.
+  template <typename Fn>
+  void forEachApp(std::size_t napps, Fn&& fn) {
+    std::size_t k = 0;  // walk `present` (ascending) alongside the apps
+    for (std::size_t i = 0; i < napps; ++i) {
+      if (k < present.size() && present[k] == i) {
+        fn(i, outputs[k++]);
+      } else {
+        fn(i, idle);
+      }
+    }
+  }
+};
+
+/// Pass-to-pass cache of the scheduling pass. Everything is indexed by
+/// application position in the snapshot (the scheduler requires
 /// connection order, so positions are stable between passes unless the
 /// population itself changed — which invalidates the cache wholesale).
 ///
@@ -135,13 +162,7 @@ struct IncrementalState {
   // --- eqSchedule Step 2 per-cluster cache --------------------------------
   std::vector<ClusterId> clusterIds;
   NodeCount strictParticipants = 0;
-  struct ClusterCache {
-    std::vector<std::uint32_t> present;  ///< occupying apps (ascending)
-    std::vector<StepFunction> outputs;   ///< one per present slot
-    StepFunction idle;                   ///< series of every absent app
-    bool hasIdle = false;
-  };
-  std::vector<ClusterCache> clusters;
+  std::vector<ClusterSeries> clusters;
 
   // --- per-pass scratch, kept for capacity --------------------------------
   std::vector<char> clean;      ///< lease-clean classification
@@ -152,12 +173,10 @@ struct IncrementalState {
   std::vector<std::vector<std::uint32_t>> candidates;
   std::vector<ClusterId> newClusterIds;
   /// Outcome of one cluster's Step 2 in the parallel phase, merged into
-  /// the per-app views serially afterwards (cluster order, like the full
-  /// path's merge loop).
+  /// the per-app views serially afterwards, in cluster order.
   struct ClusterDelta {
     bool fullRecompute = false;
-    std::vector<StepFunction> row;  ///< all-apps outputs (fullRecompute)
-    std::vector<std::uint32_t> newPresent;
+    ClusterSeries fresh;  ///< this pass's occupants; all series if recomputed
     std::vector<std::uint32_t> changedPresent;  ///< present slots respliced
     bool idleChanged = false;
     std::uint64_t rangesReused = 0;
@@ -171,18 +190,15 @@ Scheduler::Scheduler(Machine machine, Config config)
     : Scheduler(std::move(machine), config, SchedulerOptions{}) {}
 
 Scheduler::Scheduler(Machine machine, Config config, SchedulerOptions options)
-    : machine_(std::move(machine)), config_(config) {
+    : machine_(std::move(machine)),
+      config_(config),
+      inc_(std::make_unique<IncrementalState>()) {
   if (options.threads > 1) {
     pool_ = std::make_unique<WorkerPool>(options.threads);
   }
-  if (options.incremental) {
-    inc_ = std::make_unique<IncrementalState>();
-  }
 }
 
-void Scheduler::invalidateIncremental() const {
-  if (inc_ != nullptr) inc_->valid = false;
-}
+void Scheduler::invalidateIncremental() const { inc_->valid = false; }
 
 Scheduler::~Scheduler() = default;
 Scheduler::Scheduler(Scheduler&&) noexcept = default;
@@ -385,7 +401,7 @@ View Scheduler::fit(SetSnapshot& set, const View& available, Time t0,
 namespace {
 
 /// The per-breakpoint arithmetic of eqSchedule Step 2, shared between the
-/// full cluster sweep (eqScheduleCluster) and the incremental windowed
+/// full cluster sweep (eqScheduleCluster) and the warm pass's windowed
 /// re-sweep so both compute byte-identical values. An instance tracks the
 /// running per-application demands of one sweep over
 /// [avail, occupation...]; emitAt() computes every occupying application's
@@ -471,44 +487,43 @@ class Step2Values {
   std::vector<NodeCount> gives_;
 };
 
-/// Step 2 of eqSchedule for one cluster: one synchronized sweep over the
-/// merged breakpoints of `avail` and the occupation profiles decides what
-/// each application may have, writing each application's profile into
-/// `out` (pre-sized to one slot per application). Pure in everything but
-/// `out`, so clusters can run concurrently on a worker pool.
-///
-/// Applications with no preemptible occupation on this cluster ("absent")
-/// have identically-zero demand: they neither contribute breakpoints nor
-/// influence the distribution beyond the inactive-partition count, and
-/// they all receive the same idle-share series. The sweep therefore runs
-/// over the occupying applications only and the idle series is computed
-/// once and copied — on a multi-cluster machine absent is the common case,
-/// which turns Step 2 from O(clusters × apps) into O(total occupations)
-/// per breakpoint. Values are identical to the all-apps sweep.
-///
-/// `candidates` (ascending app indices) are the applications whose
-/// snapshot demand summary names this cluster — a superset of the
-/// occupying applications, since occupation pulses only ever land on a
-/// request's own cluster. Probing candidates instead of every application
-/// makes present-detection O(demand entries) instead of O(clusters × apps).
-void eqScheduleCluster(ClusterId cid, const View& avail,
-                       std::span<const View> occupation,
-                       std::span<const std::uint32_t> candidates, bool strict,
-                       NodeCount strictParticipants,
-                       std::span<StepFunction> out) {
-  const std::size_t napps = occupation.size();
-
-  std::vector<std::uint32_t> present;  // apps occupying this cluster
-  if (!strict) {
-    // Strict mode hands every application the same fixed share, so nobody
-    // needs the per-application demands: sweep `avail` alone.
-    present.reserve(candidates.size());
-    for (const std::uint32_t i : candidates) {
-      if (!occupation[i].cap(cid).isZero()) {
-        present.push_back(i);
-      }
-    }
+/// The applications occupying cluster `cid`, ascending. `candidates`
+/// (ascending app indices) are the applications whose snapshot demand
+/// summary names this cluster — a superset of the occupying applications,
+/// since occupation pulses only ever land on a request's own cluster.
+/// Probing candidates instead of every application makes this
+/// O(demand entries) instead of O(clusters × apps). Strict mode hands every
+/// application the same fixed share, so nobody needs the per-application
+/// demands: there, nobody counts as occupying.
+void findOccupants(ClusterId cid, std::span<const View> occupation,
+                   std::span<const std::uint32_t> candidates, bool strict,
+                   std::vector<std::uint32_t>& present) {
+  present.clear();
+  if (strict) return;
+  for (const std::uint32_t i : candidates) {
+    if (!occupation[i].cap(cid).isZero()) present.push_back(i);
   }
+}
+
+/// Step 2 of eqSchedule for one cluster: one synchronized sweep over the
+/// merged breakpoints of `avail` and the occupants' (`out.present`, from
+/// findOccupants) occupation profiles decides what each application may
+/// have, filling the rest of `out`. Pure in everything but `out`, so
+/// clusters can run concurrently on a worker pool.
+///
+/// Absent applications have identically-zero demand: they neither
+/// contribute breakpoints nor influence the distribution beyond the
+/// inactive-partition count, and they all receive the same idle-share
+/// series. The sweep therefore runs over the occupants only and the idle
+/// series is computed once — on a multi-cluster machine absent is the
+/// common case, which turns Step 2 from O(clusters × apps) into
+/// O(total occupations) per breakpoint. Values are identical to the
+/// all-apps sweep.
+void eqScheduleCluster(ClusterId cid, const View& avail,
+                       std::span<const View> occupation, bool strict,
+                       NodeCount strictParticipants, ClusterSeries& out) {
+  const std::size_t napps = occupation.size();
+  const std::vector<std::uint32_t>& present = out.present;
 
   std::vector<const StepFunction*> fns;
   fns.reserve(present.size() + 1);
@@ -522,11 +537,8 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
   // Arena-backed scratch: per breakpoint the emitted profiles reuse pooled
   // blocks from the sweeping thread's arena instead of fresh vectors.
   std::vector<SegmentStore> outSegments(present.size());
-  // The idle series: what every application without demand here may have.
-  // Needed whenever some application is absent (and exclusively in strict
-  // mode, where it doubles as the shared fixed-share series).
   SegmentStore idleSegments;
-  const bool needIdle = strict || present.size() < napps;
+  out.hasIdle = strict || present.size() < napps;
   // Emit a breakpoint only when the value changes, so each output is born
   // canonical and stays proportional to its own change count rather than
   // to the merged breakpoint count.
@@ -541,32 +553,23 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
                                                     NodeCount value) {
       emit(outSegments[k], t, value);
     });
-    if (needIdle) emit(idleSegments, t, idle);
+    if (out.hasIdle) emit(idleSegments, t, idle);
 
     if (!sweep.advance()) break;
     values.applyChanges(sweep);
   }
 
+  out.outputs.resize(present.size());
   for (std::size_t k = 0; k < present.size(); ++k) {
-    out[present[k]] =
-        StepFunction::fromCanonical(std::move(outSegments[k]));
+    out.outputs[k] = StepFunction::fromCanonical(std::move(outSegments[k]));
   }
-  if (needIdle) {
-    const StepFunction idle =
-        StepFunction::fromCanonical(std::move(idleSegments));
-    std::size_t k = 0;  // walk `present` (ascending) alongside the apps
-    for (std::size_t i = 0; i < napps; ++i) {
-      if (!strict && k < present.size() && present[k] == i) {
-        ++k;
-        continue;
-      }
-      out[i] = idle;
-    }
+  if (out.hasIdle) {
+    out.idle = StepFunction::fromCanonical(std::move(idleSegments));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Incremental Step 2: dirty-range diffing, windowed re-sweeps, splicing.
+// Warm Step 2: dirty-range diffing, windowed re-sweeps, splicing.
 //
 // DirtyRange / diffWindow / mergeRanges / spliceWindow live in
 // profile/profile_diff.{hpp,cpp} since PR 9 — the VIEWS_DELTA wire path
@@ -590,7 +593,7 @@ void resweepCluster(ClusterId cid, const StepFunction& availCap,
                     std::span<const View> occupation, bool strict,
                     NodeCount strictParticipants, std::size_t napps,
                     std::span<const DirtyRange> ranges,
-                    IncrementalState::ClusterCache& cache,
+                    ClusterSeries& cache,
                     std::vector<char>& slotChanged, bool& idleChanged) {
   const std::vector<std::uint32_t>& present = cache.present;
   std::vector<const StepFunction*> fns;
@@ -683,6 +686,82 @@ void resweepCluster(ClusterId cid, const StepFunction& availCap,
   }
 }
 
+/// eqSchedule Step 1 for one application: the preliminary occupation of its
+/// preemptible requests, the started ones plus a fit of the rest into
+/// `avail` (non-negative). Touches only this application's records. An
+/// empty set has nothing to fix and skips the algebra entirely.
+View preliminaryOccupation(SetSnapshot& set, const View& avail, Time now) {
+  if (set.empty()) return View{};
+  View occupation = Scheduler::toView(set, &avail, now);
+  if (occupation.empty()) {
+    // Nothing started: avail - 0 clamped is avail itself, so fit directly
+    // against it and adopt the result outright.
+    return Scheduler::fit(set, avail, now);
+  }
+  View freeForMe = avail;
+  accumulateOne(freeForMe, occupation, View::Op::kSubtract,
+                /*clampAtZero=*/true);
+  occupation += Scheduler::fit(set, freeForMe, now);
+  return occupation;
+}
+
+/// eqSchedule Step 3 for one application: reschedule its preemptible
+/// requests against its final preemptive view, so scheduledAt and nAlloc
+/// are consistent with what will actually be granted.
+void reschedulePreemptible(SetSnapshot& set, const View& view, Time now) {
+  if (set.empty()) return;
+  const View own = Scheduler::toView(set, &view, now);
+  if (own.empty()) {
+    // Preemptive views are non-negative by construction, so the
+    // subtract-clamp of an empty occupation is the view itself.
+    Scheduler::fit(set, view, now);
+    return;
+  }
+  View rest = view;
+  accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
+  Scheduler::fit(set, rest, now);
+}
+
+/// The clusters eqSchedule Step 2 sweeps: the union of the availability's
+/// and every occupation's cluster ids, sorted.
+void step2Clusters(const View& avail, std::span<const View> occupation,
+                   std::vector<ClusterId>& out) {
+  out.clear();
+  avail.appendClusterIds(out);
+  for (const View& occ : occupation) occ.appendClusterIds(out);
+  View::sortUniqueClusterIds(out);
+}
+
+/// Inverts the captured per-application demand summaries into one candidate
+/// list per cluster of `clusterIds` (ascending application indices), so
+/// each cluster sweep only probes the applications that can occupy it.
+void invertDemand(std::span<const AppSnapshot> apps,
+                  std::span<const ClusterId> clusterIds,
+                  std::vector<std::vector<std::uint32_t>>& candidates) {
+  candidates.resize(clusterIds.size());
+  for (auto& list : candidates) list.clear();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    for (const ClusterDemand& demand : apps[i].preemptibleDemand()) {
+      const auto it = std::lower_bound(clusterIds.begin(), clusterIds.end(),
+                                       demand.cluster);
+      if (it != clusterIds.end() && *it == demand.cluster) {
+        candidates[static_cast<std::size_t>(it - clusterIds.begin())]
+            .push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  }
+}
+
+/// Strict equi-partitioning's divisor, invariant across breakpoints: the
+/// applications with any preemptible request (0 outside strict mode).
+NodeCount countStrictParticipants(std::span<const AppSnapshot> apps,
+                                  bool strict) {
+  if (!strict) return 0;
+  return std::count_if(apps.begin(), apps.end(), [](const AppSnapshot& app) {
+    return !app.preemptible().empty();
+  });
+}
+
 }  // namespace
 
 void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
@@ -692,8 +771,8 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   WorkerPool* const pool = ctx.pool;
   const ArenaScope arenaScope(ctx.arena);
 
-  // Callers (schedulePass()) usually hand in an already-clamped view; only
-  // copy when the clamp would actually change something.
+  // Callers usually hand in an already-clamped view; only copy when the
+  // clamp would actually change something.
   View clamped;
   if (!available.nonNegative()) {
     clamped = available;
@@ -704,26 +783,12 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   // Step 1: preliminary occupation views (started + newly fitted
   // requests). Each application's step touches only its own snapshot
   // records and occupation slot (constraints never cross applications), so
-  // the applications fan out over the pool. Applications with an empty
-  // preemptible set have no records to fix and an empty occupation — skip
-  // the algebra entirely.
+  // the applications fan out over the pool.
   const std::uint64_t step1Start = metrics::nowNanos();
   std::vector<View> occupation(napps);
   parallelFor(pool, napps, [&](std::size_t i) {
     apps[i].preemptiveView = View{};
-    SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
-    occupation[i] = toView(set, &avail, now);
-    if (occupation[i].empty()) {
-      // Nothing started: avail - 0 clamped is avail itself (clamped on
-      // entry), so fit directly against it and adopt the result outright.
-      occupation[i] = fit(set, avail, now);
-    } else {
-      View freeForMe = avail;
-      accumulateOne(freeForMe, occupation[i], View::Op::kSubtract,
-                    /*clampAtZero=*/true);
-      occupation[i] += fit(set, freeForMe, now);
-    }
+    occupation[i] = preliminaryOccupation(apps[i].preemptible(), avail, now);
   });
 
   const std::uint64_t step2Start = metrics::nowNanos();
@@ -731,39 +796,28 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 
   // Step 2: per piece-wise-constant interval, decide what each application
   // may have. The sweep partitions cleanly by cluster; every cluster
-  // writes its own pre-sized slot row and the rows are merged below in
-  // cluster order, so any thread count produces byte-identical views. The
-  // captured demand summaries invert into per-cluster candidate lists, so
-  // each cluster sweep only probes the applications that can occupy it.
+  // fills its own row of per-application series and the rows are merged
+  // below in cluster order, so any thread count produces byte-identical
+  // views.
   std::vector<ClusterId> clusterIds;
-  avail.appendClusterIds(clusterIds);
-  for (const View& occ : occupation) occ.appendClusterIds(clusterIds);
-  View::sortUniqueClusterIds(clusterIds);
-
-  std::vector<std::vector<std::uint32_t>> candidates(clusterIds.size());
-  for (std::size_t i = 0; i < napps; ++i) {
-    for (const ClusterDemand& demand : apps[i].preemptibleDemand()) {
-      const auto it = std::lower_bound(clusterIds.begin(), clusterIds.end(),
-                                       demand.cluster);
-      if (it != clusterIds.end() && *it == demand.cluster) {
-        candidates[static_cast<std::size_t>(it - clusterIds.begin())]
-            .push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-  }
-
-  NodeCount strictParticipants = 0;  // breakpoint-invariant
-  if (strict) {
-    for (const AppSnapshot& app : apps) {
-      if (!app.preemptible().empty()) ++strictParticipants;
-    }
-  }
+  step2Clusters(avail, occupation, clusterIds);
+  std::vector<std::vector<std::uint32_t>> candidates;
+  invertDemand(apps, clusterIds, candidates);
+  const NodeCount participants = countStrictParticipants(apps, strict);
 
   std::vector<std::vector<StepFunction>> perCluster(clusterIds.size());
   parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
-    perCluster[c].resize(napps);
-    eqScheduleCluster(clusterIds[c], avail, occupation, candidates[c],
-                      strict, strictParticipants, perCluster[c]);
+    ClusterSeries cluster;
+    findOccupants(clusterIds[c], occupation, candidates[c], strict,
+                  cluster.present);
+    eqScheduleCluster(clusterIds[c], avail, occupation, strict, participants,
+                      cluster);
+    perCluster[c].reserve(napps);
+    cluster.forEachApp(napps, [&](std::size_t, StepFunction& series) {
+      // An occupant's own series has no other reader: move it.
+      perCluster[c].push_back(&series == &cluster.idle ? series
+                                                       : std::move(series));
+    });
   });
   for (std::size_t c = 0; c < clusterIds.size(); ++c) {
     for (std::size_t i = 0; i < napps; ++i) {
@@ -775,101 +829,18 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
 
-  // Step 3: reschedule every application's preemptible requests against its
-  // final view so scheduledAt and nAlloc are consistent with what we will
-  // actually grant. Per-application again, so it rides the pool too.
+  // Step 3: per application again, so it rides the pool too.
   parallelFor(pool, napps, [&](std::size_t i) {
-    SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
-    const View own = toView(set, &apps[i].preemptiveView, now);
-    if (own.empty()) {
-      // Preemptive views are non-negative by construction, so the
-      // subtract-clamp of an empty occupation is the view itself.
-      fit(set, apps[i].preemptiveView, now);
-    } else {
-      View rest = apps[i].preemptiveView;
-      accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
-      fit(set, rest, now);
-    }
+    reschedulePreemptible(apps[i].preemptible(), apps[i].preemptiveView, now);
   });
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 4: main scheduling algorithm
-// ---------------------------------------------------------------------------
-void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
-  WorkerPool* const pool = pool_.get();
-  const ProfileContext ctx{&arena_, pool};
-  // Install the scheduler's arena for the whole pass: every profile built
-  // on this thread below (occupation folds, fit scratch, view algebra)
-  // recycles the same pooled blocks pass over pass. Worker threads keep
-  // their own thread-default arenas.
-  const ArenaScope arenaScope(ctx.arena);
-  if (inc_ != nullptr) {
-    schedulePassIncremental(snapshot, now, ctx);
-    return;
-  }
-  const std::span<AppSnapshot> apps = snapshot.apps();
-  View vnp = machineView();  // non-preemptible resources still available
-  View vp = machineView();   // preemptible resources still available
-
-  // Subtract resources held by started pre-allocations / NP requests: one
-  // N-ary sweep each, instead of a fold of binary subtractions that
-  // re-merges the accumulated view once per application. The occupation
-  // views only read/write one application's records each, so they fan out
-  // per application; the N-ary folds fan out per cluster inside
-  // View::accumulate.
-  std::vector<View> paOcc(apps.size());
-  std::vector<View> npOcc(apps.size());
-  parallelFor(pool, apps.size(), [&](std::size_t i) {
-    paOcc[i] = toView(apps[i].preAllocations());
-    npOcc[i] = toView(apps[i].nonPreemptible());
-  });
-  std::vector<const View*> operands;
-  operands.reserve(apps.size() * 2);
-  for (const View& occ : paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
-
-  // Non-preemptive views and start times, in connection order. The toView
-  // results above stay valid through this loop: fit() only mutates the
-  // set it is given, so application i's occupation views cannot change
-  // before iteration i reads them. vnp is consumed inside the loop and
-  // must be updated eagerly; vp is only read after it, so the fitted NP
-  // occupations are collected and folded in one sweep at the end.
-  std::vector<View> npFitted;
-  npFitted.reserve(apps.size());
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    AppSnapshot& app = apps[i];
-    const View& ownStartedPa = paOcc[i];
-
-    app.viewsReused = false;  // the full pass always materializes views
-    app.nonPreemptiveView = ownStartedPa;
-    accumulateOne(app.nonPreemptiveView, vnp, View::Op::kAdd,
-                  /*clampAtZero=*/true);
-
-    const View occPa = fit(app.preAllocations(), app.nonPreemptiveView, now);
-
-    View npAvailable = ownStartedPa;
-    accumulateOne(npAvailable, occPa, View::Op::kAdd);
-    accumulateOne(npAvailable, npOcc[i], View::Op::kSubtract,
-                  /*clampAtZero=*/true);
-    npFitted.push_back(fit(app.nonPreemptible(), npAvailable, now));
-
-    accumulateOne(vnp, occPa, View::Op::kSubtract);
-  }
-
-  operands.clear();
-  for (const View& occ : npOcc) operands.push_back(&occ);
-  for (const View& occ : npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
-
-  vp.clampMin(0);
-  eqSchedule(apps, vp, now, config_.strictEquiPartition, ctx);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental pass: Algorithm 4 organised around the pass-to-pass cache.
+// Algorithm 4: main scheduling algorithm, organised around the pass-to-pass
+// cache. A cold cache (first pass, population change, after
+// invalidateIncremental()) re-derives every application, which is the full
+// recompute; a warm cache re-derives only what changed.
 //
 // Cleanliness argument, applied per application below:
 //  - kSkipped capture means nothing about the app's requests mutated since
@@ -879,13 +850,19 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
 //    scheduledAt = startedAt / nAlloc = heldIds / fixed = true, and fit
 //    has no non-fixed records to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
-// cache; everything else is recomputed with exactly the full path's
-// arithmetic, in the same order, which keeps results bit-identical at any
-// thread count (pinned by tests/test_scheduler_incremental.cpp).
+// cache; every other app runs the full arithmetic, in connection order,
+// which keeps results bit-identical at any thread count and cache state
+// (pinned by tests/test_scheduler_incremental.cpp against a test-only
+// reference built from the public building blocks).
 // ---------------------------------------------------------------------------
-void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                                        const ProfileContext& ctx) const {
-  WorkerPool* const pool = ctx.pool;
+void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
+  WorkerPool* const pool = pool_.get();
+  const ProfileContext ctx{&arena_, pool};
+  // Install the scheduler's arena for the whole pass: every profile built
+  // on this thread below (occupation folds, fit scratch, view algebra)
+  // recycles the same pooled blocks pass over pass. Worker threads keep
+  // their own thread-default arenas.
+  const ArenaScope arenaScope(ctx.arena);
   IncrementalState& inc = *inc_;
   const std::span<AppSnapshot> apps = snapshot.apps();
   const std::size_t napps = apps.size();
@@ -934,16 +911,18 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   inc.npChanged.assign(napps, 0);
   inc.pChanged.assign(napps, 0);
 
-  // Started pre-allocation / non-preemptible occupations (dirty apps only:
-  // these depend exclusively on captured request attributes, so an
-  // epoch-clean app's cached views are exact).
+  // Subtract resources held by started pre-allocations / NP requests: one
+  // N-ary sweep each, instead of a fold of binary subtractions. The
+  // occupation views depend exclusively on captured request attributes, so
+  // an epoch-clean app's cached views are exact; the others fan out per
+  // application, and the N-ary folds per cluster inside View::accumulate.
   parallelFor(pool, napps, [&](std::size_t i) {
     if (inc.clean[i]) return;
     inc.paOcc[i] = toView(apps[i].preAllocations());
     inc.npOcc[i] = toView(apps[i].nonPreemptible());
   });
 
-  View vnp = machineView();
+  View vnp = machineView();  // non-preemptible resources still available
   std::vector<const View*>& operands = inc.operands;
   operands.clear();
   operands.reserve(napps * 2);
@@ -955,9 +934,12 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
   bool vnpSame = warm && vnp == inc.vnpInitial;
   if (!vnpSame) inc.vnpInitial = vnp;
 
-  // Non-preemptive views and start times, in connection order — the exact
-  // full-path loop for dirty apps; lease-clean apps contribute provably
-  // empty occupations and leave vnp untouched.
+  // Non-preemptive views and start times, in connection order. fit() only
+  // mutates the set it is given, so application i's occupation views above
+  // cannot change before iteration i reads them. vnp is consumed inside the
+  // loop and updated eagerly; vp is only read after it, so the fitted NP
+  // occupations are folded in one sweep at the end. Lease-clean apps
+  // contribute provably empty occupations and leave vnp untouched.
   for (std::size_t i = 0; i < napps; ++i) {
     AppSnapshot& app = apps[i];
     if (inc.clean[i]) {
@@ -990,208 +972,134 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
     inc.npChanged[i] = 1;
   }
 
-  View vp = machineView();
+  View vp = machineView();  // preemptible resources still available
   operands.clear();
   for (const View& occ : inc.npOcc) operands.push_back(&occ);
   for (const View& occ : inc.npFitted) operands.push_back(&occ);
   vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
   vp.clampMin(0);
 
-  // eqSchedule Step 1: preliminary preemptible occupations (dirty apps;
-  // an all-started app's occupation ignores both `vp` and `now`). The
-  // pre-recompute views are kept aside as the Step 2 diff baseline.
+  // eqSchedule Step 1 (dirty apps; an all-started app's occupation ignores
+  // both `vp` and `now`). The pre-recompute views are kept aside as the
+  // Step 2 diff baseline.
   const std::uint64_t step1Start = metrics::nowNanos();
   parallelFor(pool, napps, [&](std::size_t i) {
     if (inc.clean[i]) return;
     inc.oldOccupation[i] = std::move(inc.occupation[i]);
-    SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) {
-      inc.occupation[i] = View{};
-      return;
-    }
-    inc.occupation[i] = toView(set, &vp, now);
-    if (inc.occupation[i].empty()) {
-      inc.occupation[i] = fit(set, vp, now);
-    } else {
-      View freeForMe = vp;
-      accumulateOne(freeForMe, inc.occupation[i], View::Op::kSubtract,
-                    /*clampAtZero=*/true);
-      inc.occupation[i] += fit(set, freeForMe, now);
-    }
+    inc.occupation[i] = preliminaryOccupation(apps[i].preemptible(), vp, now);
   });
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
-  if (napps > 0) {
-    // eqSchedule Step 2, cached per cluster.
-    std::vector<ClusterId>& clusterIds = inc.newClusterIds;
-    clusterIds.clear();
-    vp.appendClusterIds(clusterIds);
-    for (const View& occ : inc.occupation) occ.appendClusterIds(clusterIds);
-    View::sortUniqueClusterIds(clusterIds);
+  // eqSchedule Step 2, cached per cluster.
+  std::vector<ClusterId>& clusterIds = inc.newClusterIds;
+  step2Clusters(vp, inc.occupation, clusterIds);
+  const NodeCount strictParticipants = countStrictParticipants(apps, strict);
 
-    NodeCount strictParticipants = 0;
-    if (strict) {
-      for (const AppSnapshot& app : apps) {
-        if (!app.preemptible().empty()) ++strictParticipants;
-      }
+  // The per-cluster caches are keyed by position in clusterIds; a change
+  // to the cluster union (or the strict participant count, a global
+  // input of every cluster) recomputes every cluster.
+  const bool step2Warm = warm && clusterIds == inc.clusterIds &&
+                         strictParticipants == inc.strictParticipants &&
+                         inc.clusters.size() == clusterIds.size();
+  if (!step2Warm) {
+    // The cached per-app views may hold entries for clusters that left
+    // the union; rebuild them from scratch so the entry sets match a
+    // setCap-per-cluster construction exactly.
+    for (std::size_t i = 0; i < napps; ++i) inc.pViews[i] = View{};
+    inc.pChanged.assign(napps, 1);
+  }
+  inc.clusters.resize(clusterIds.size());
+  inc.deltas.resize(clusterIds.size());
+  invertDemand(apps, clusterIds, inc.candidates);
+
+  parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
+    const ClusterId cid = clusterIds[c];
+    ClusterSeries& cc = inc.clusters[c];
+    IncrementalState::ClusterDelta& d = inc.deltas[c];
+    d.changedPresent.clear();
+    d.idleChanged = false;
+    d.rangesReused = 0;
+
+    findOccupants(cid, inc.occupation, inc.candidates[c], strict,
+                  d.fresh.present);
+    d.fullRecompute = !step2Warm || d.fresh.present != cc.present;
+    if (d.fullRecompute) {
+      // Cold cache or membership change on this cluster: the sweep
+      // structure itself moved — recompute the whole cluster.
+      eqScheduleCluster(cid, vp, inc.occupation, strict,
+                        strictParticipants, d.fresh);
+      return;
     }
 
-    // The per-cluster caches are keyed by position in clusterIds; a change
-    // to the cluster union (or the strict participant count, a global
-    // input of every cluster) recomputes every cluster.
-    const bool step2Warm = warm && clusterIds == inc.clusterIds &&
-                           strictParticipants == inc.strictParticipants &&
-                           inc.clusters.size() == clusterIds.size();
-    if (!step2Warm) {
-      // The cached per-app views may hold entries for clusters that left
-      // the union; rebuild them from scratch so the entry sets match the
-      // full path's setCap-per-cluster construction exactly.
-      for (std::size_t i = 0; i < napps; ++i) inc.pViews[i] = View{};
-      inc.pChanged.assign(napps, 1);
+    // Same membership: collect the ranges where any input moved.
+    std::vector<DirtyRange> ranges;
+    Time lo = 0;
+    Time hi = 0;
+    if (diffWindow(inc.vp.cap(cid).segments(), vp.cap(cid).segments(), lo,
+                   hi)) {
+      ranges.push_back({lo, hi});
     }
-    inc.clusters.resize(clusterIds.size());
-    inc.deltas.resize(clusterIds.size());
-
-    inc.candidates.resize(clusterIds.size());
-    for (auto& list : inc.candidates) list.clear();
-    for (std::size_t i = 0; i < napps; ++i) {
-      for (const ClusterDemand& demand : apps[i].preemptibleDemand()) {
-        const auto it = std::lower_bound(clusterIds.begin(), clusterIds.end(),
-                                         demand.cluster);
-        if (it != clusterIds.end() && *it == demand.cluster) {
-          inc.candidates[static_cast<std::size_t>(it - clusterIds.begin())]
-              .push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
-
-    parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
-      const ClusterId cid = clusterIds[c];
-      IncrementalState::ClusterCache& cc = inc.clusters[c];
-      IncrementalState::ClusterDelta& d = inc.deltas[c];
-      d.fullRecompute = false;
-      d.newPresent.clear();
-      d.changedPresent.clear();
-      d.idleChanged = false;
-      d.rangesReused = 0;
-
-      if (!strict) {
-        for (const std::uint32_t i : inc.candidates[c]) {
-          if (!inc.occupation[i].cap(cid).isZero()) d.newPresent.push_back(i);
-        }
-      }
-      if (!step2Warm || d.newPresent != cc.present) {
-        // Cold cache or membership change on this cluster: the sweep
-        // structure itself moved — recompute the whole cluster.
-        d.fullRecompute = true;
-        d.row.resize(napps);
-        eqScheduleCluster(cid, vp, inc.occupation, inc.candidates[c], strict,
-                          strictParticipants, d.row);
-        return;
-      }
-
-      // Same membership: collect the ranges where any input moved.
-      std::vector<DirtyRange> ranges;
-      Time lo = 0;
-      Time hi = 0;
-      if (diffWindow(inc.vp.cap(cid).segments(), vp.cap(cid).segments(), lo,
-                     hi)) {
+    for (const std::uint32_t i : cc.present) {
+      if (inc.clean[i]) continue;  // occupation unchanged by definition
+      if (diffWindow(inc.oldOccupation[i].cap(cid).segments(),
+                     inc.occupation[i].cap(cid).segments(), lo, hi)) {
         ranges.push_back({lo, hi});
       }
-      for (const std::uint32_t i : cc.present) {
-        if (inc.clean[i]) continue;  // occupation unchanged by definition
-        if (diffWindow(inc.oldOccupation[i].cap(cid).segments(),
-                       inc.occupation[i].cap(cid).segments(), lo, hi)) {
-          ranges.push_back({lo, hi});
-        }
-      }
-      d.rangesReused = cc.present.size() + (cc.hasIdle ? 1 : 0);
-      if (ranges.empty()) return;  // every series reused outright
-
-      mergeRanges(ranges);
-      std::vector<char> slotChanged(cc.present.size(), 0);
-      bool idleChanged = false;
-      resweepCluster(cid, vp.cap(cid), inc.occupation, strict,
-                     strictParticipants, napps, ranges, cc, slotChanged,
-                     idleChanged);
-      for (std::size_t k = 0; k < cc.present.size(); ++k) {
-        if (slotChanged[k]) d.changedPresent.push_back(
-            static_cast<std::uint32_t>(k));
-      }
-      d.idleChanged = idleChanged;
-    });
-
-    // Serial merge in cluster order (like the full path): fold each
-    // cluster's outcome into the cache and the per-app preemptive views.
-    std::uint64_t rangesReused = 0;
-    for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-      const ClusterId cid = clusterIds[c];
-      IncrementalState::ClusterCache& cc = inc.clusters[c];
-      IncrementalState::ClusterDelta& d = inc.deltas[c];
-      rangesReused += d.rangesReused;
-
-      if (d.fullRecompute) {
-        cc.present = std::move(d.newPresent);
-        cc.outputs.resize(cc.present.size());
-        cc.hasIdle = strict || cc.present.size() < napps;
-        if (cc.hasIdle) {
-          // Any absent slot holds a copy of the idle series.
-          std::size_t absent = 0;
-          std::size_t k = 0;
-          while (k < cc.present.size() && cc.present[k] == absent) {
-            ++k;
-            ++absent;
-          }
-          cc.idle = d.row[absent];
-        }
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < napps; ++i) {
-          const bool isPresent =
-              k < cc.present.size() && cc.present[k] == i;
-          const bool changed =
-              !step2Warm || !(d.row[i] == inc.pViews[i].cap(cid));
-          if (isPresent) {
-            cc.outputs[k] = std::move(d.row[i]);
-            if (changed) {
-              inc.pViews[i].setCap(cid, cc.outputs[k]);
-              inc.pChanged[i] = 1;
-            }
-            ++k;
-          } else if (changed) {
-            inc.pViews[i].setCap(cid, std::move(d.row[i]));
-            inc.pChanged[i] = 1;
-          }
-        }
-        continue;
-      }
-
-      for (const std::uint32_t k : d.changedPresent) {
-        const std::uint32_t i = cc.present[k];
-        inc.pViews[i].setCap(cid, cc.outputs[k]);
-        inc.pChanged[i] = 1;
-      }
-      if (d.idleChanged) {
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < napps; ++i) {
-          if (!strict && k < cc.present.size() && cc.present[k] == i) {
-            ++k;
-            continue;
-          }
-          inc.pViews[i].setCap(cid, cc.idle);
-          inc.pChanged[i] = 1;
-        }
-      }
     }
-    metrics::increment(metrics::Event::kStep2RangesReused, rangesReused);
+    d.rangesReused = cc.present.size() + (cc.hasIdle ? 1 : 0);
+    if (ranges.empty()) return;  // every series reused outright
 
-    inc.clusterIds = clusterIds;
-    inc.strictParticipants = strictParticipants;
-  } else {
-    inc.clusterIds.clear();
-    inc.clusters.clear();
-    inc.strictParticipants = 0;
+    mergeRanges(ranges);
+    std::vector<char> slotChanged(cc.present.size(), 0);
+    bool idleChanged = false;
+    resweepCluster(cid, vp.cap(cid), inc.occupation, strict,
+                   strictParticipants, napps, ranges, cc, slotChanged,
+                   idleChanged);
+    for (std::size_t k = 0; k < cc.present.size(); ++k) {
+      if (slotChanged[k]) d.changedPresent.push_back(
+          static_cast<std::uint32_t>(k));
+    }
+    d.idleChanged = idleChanged;
+  });
+
+  // Serial merge in cluster order, so any thread count produces the same
+  // views: fold each cluster's outcome into the cache and the per-app
+  // preemptive views.
+  std::uint64_t rangesReused = 0;
+  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
+    const ClusterId cid = clusterIds[c];
+    ClusterSeries& cc = inc.clusters[c];
+    IncrementalState::ClusterDelta& d = inc.deltas[c];
+    rangesReused += d.rangesReused;
+
+    if (d.fullRecompute) {
+      std::swap(cc, d.fresh);
+      cc.forEachApp(napps, [&](std::size_t i, const StepFunction& series) {
+        if (step2Warm && series == inc.pViews[i].cap(cid)) return;
+        inc.pViews[i].setCap(cid, series);
+        inc.pChanged[i] = 1;
+      });
+      continue;
+    }
+
+    for (const std::uint32_t k : d.changedPresent) {
+      const std::uint32_t i = cc.present[k];
+      inc.pViews[i].setCap(cid, cc.outputs[k]);
+      inc.pChanged[i] = 1;
+    }
+    if (d.idleChanged) {
+      cc.forEachApp(napps, [&](std::size_t i, const StepFunction& series) {
+        if (&series != &cc.idle) return;  // an occupant: respliced above
+        inc.pViews[i].setCap(cid, series);
+        inc.pChanged[i] = 1;
+      });
+    }
   }
+  metrics::increment(metrics::Event::kStep2RangesReused, rangesReused);
+
+  inc.clusterIds = clusterIds;
+  inc.strictParticipants = strictParticipants;
   inc.vp = std::move(vp);
 
   // Materialize the output views. A lease-clean app whose neither view
@@ -1210,23 +1118,13 @@ void Scheduler::schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
     }
   }
 
-  // eqSchedule Step 3: reschedule dirty apps' preemptible requests against
-  // their final views. Lease-clean apps are exact already: toView would
-  // rewrite identical values and fit has nothing to place.
+  // eqSchedule Step 3 (dirty apps). Lease-clean apps are exact already:
+  // toView would rewrite identical values and fit has nothing to place.
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
   parallelFor(pool, napps, [&](std::size_t i) {
     if (inc.clean[i]) return;
-    SetSnapshot& set = apps[i].preemptible();
-    if (set.empty()) return;
-    const View own = toView(set, &apps[i].preemptiveView, now);
-    if (own.empty()) {
-      fit(set, apps[i].preemptiveView, now);
-    } else {
-      View rest = apps[i].preemptiveView;
-      accumulateOne(rest, own, View::Op::kSubtract, /*clampAtZero=*/true);
-      fit(set, rest, now);
-    }
+    reschedulePreemptible(apps[i].preemptible(), apps[i].preemptiveView, now);
   });
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 

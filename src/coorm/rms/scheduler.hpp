@@ -50,7 +50,7 @@ struct SchedulerOptions {
   /// Projection of the shared runtime-tuning surface
   /// (common/runtime_options.hpp).
   explicit SchedulerOptions(const RuntimeOptions& runtime)
-      : threads(runtime.threads), incremental(runtime.incremental) {}
+      : threads(runtime.threads) {}
 
   /// Worker threads for the per-cluster and per-application fan-out of a
   /// scheduling pass. <= 1 keeps every pass on the calling thread (the
@@ -58,15 +58,6 @@ struct SchedulerOptions {
   /// merged in deterministic order, so any thread count produces
   /// bit-identical schedules and views.
   int threads = 1;
-
-  /// Incremental passes: the scheduler keeps the previous pass's
-  /// intermediates and, when the snapshot reports an application as
-  /// epoch-clean with every request started, serves its derivation from
-  /// that cache; eqSchedule Step 2 re-sweeps only the breakpoint ranges
-  /// whose inputs changed and splices the clean ranges from the cached
-  /// output. Bit-identical to the full pass at every thread count (pinned
-  /// by tests/test_scheduler_incremental.cpp); false always recomputes.
-  bool incremental = true;
 };
 
 /// Per-application scheduling state: the three request sets (input, whose
@@ -123,6 +114,14 @@ class Scheduler {
   /// live requests). This is the primary pass entry point: it never touches
   /// live `RequestSet`s or `Request`s, so a pass that throws leaves the
   /// live state as it was.
+  ///
+  /// The scheduler keeps the previous pass's intermediates. An application
+  /// the snapshot reports as epoch-clean with every request started is
+  /// served from that cache, and eqSchedule Step 2 re-sweeps only the
+  /// breakpoint ranges whose inputs changed. A cold cache (first pass,
+  /// population change, invalidateIncremental()) re-derives everything: it
+  /// is the full recompute. Output is bit-identical whatever the cache
+  /// state (pinned by tests/test_scheduler_incremental.cpp).
   ///
   /// With SchedulerOptions::threads > 1 the per-cluster and per-application
   /// work fans out over the scheduler's worker pool; the result is
@@ -185,21 +184,14 @@ class Scheduler {
 
   [[nodiscard]] const Machine& machine() const { return machine_; }
 
-  /// Drops the incremental pass-to-pass cache, forcing the next pass to
-  /// re-derive every application. Required whenever a pass's results were
-  /// computed but never written back (the server's abandoned-pass path):
-  /// the cache describes "the previous committed pass", and an abandoned
-  /// pass breaks that chain. No-op when incremental passes are off.
+  /// Drops the pass-to-pass cache, forcing the next pass to re-derive
+  /// every application. Required whenever a pass's results were computed
+  /// but never written back (the server's abandoned-pass path): the cache
+  /// describes "the previous committed pass", and an abandoned pass breaks
+  /// that chain.
   void invalidateIncremental() const;
 
  private:
-  /// The incremental variant of schedulePass: same outputs, organised
-  /// around the pass-to-pass cache in `inc_`. Cold cache (first pass,
-  /// population change, after invalidateIncremental) re-derives everything
-  /// while priming the cache; warm cache re-derives only the dirty
-  /// applications and the dirty Step 2 breakpoint ranges.
-  void schedulePassIncremental(RequestSetSnapshot& snapshot, Time now,
-                               const ProfileContext& ctx) const;
   Machine machine_;
   Config config_;
   /// Present iff options.threads > 1. Mutable because a scheduling pass is
@@ -215,9 +207,9 @@ class Scheduler {
   /// similar populations allocate nothing. Scratch, like the pool: not
   /// observable state, hence mutable; schedule() is not re-entrant.
   mutable RequestSetSnapshot scratch_;
-  /// Pass-to-pass cache of the incremental path (scheduler.cpp); null when
-  /// SchedulerOptions::incremental is false. Mutable for the same reason
-  /// as the pool: a pass is logically const, the cache is its scratch.
+  /// Pass-to-pass cache of schedulePass (scheduler.cpp). Mutable for the
+  /// same reason as the pool: a pass is logically const, the cache is its
+  /// scratch.
   mutable std::unique_ptr<IncrementalState> inc_;
 };
 

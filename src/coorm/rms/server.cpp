@@ -84,11 +84,7 @@ Server::Server(Executor& executor, Machine machine)
 Server::Server(Executor& executor, Machine machine, Config config)
     : executor_(executor),
       scheduler_(machine, Scheduler::Config{config.strictEquiPartition},
-                 [&config] {
-                   SchedulerOptions options{config.threads};
-                   options.incremental = config.incremental;
-                   return options;
-                 }()),
+                 SchedulerOptions{config.threads}),
       pool_(machine),
       config_(config) {
   tokenSeed_ = (std::uint64_t{std::random_device{}()} << 32) ^
@@ -597,7 +593,7 @@ void Server::runPass() {
     // results must never reach the live requests or be pushed as views.
     // The snapshot's result scratch now diverges from the live requests
     // (no write-back), so its captured epochs must not let the next pass
-    // skip re-capture; and the scheduler's incremental cache describes a
+    // skip re-capture; and the scheduler's pass-to-pass cache describes a
     // pass that never committed, so the next pass must not splice from it.
     passSnapshot_->invalidate();
     scheduler_.invalidateIncremental();
@@ -614,16 +610,15 @@ void Server::commitPass() {
     const std::span<AppSnapshot> scheduled = passSnapshot_->apps();
     for (std::size_t i = 0; i < passApps_.size(); ++i) {
       // Lease renewal: an epoch-clean, all-started application whose views
-      // the incremental pass left in its cache keeps the stashed copies —
-      // the pass proved they are still exact. Any materialized view means
+      // the pass left in its cache keeps the stashed copies — the pass
+      // proved they are still exact. Any materialized view means
       // the app's share moved (a dirty neighbour preempted part of it) and
       // the stash is replaced as usual.
       if (scheduled[i].viewsReused) {
         metrics::increment(metrics::Event::kLeasesRenewed);
         continue;
       }
-      if (config_.incremental &&
-          scheduled[i].lastCapture() == CaptureKind::kSkipped &&
+      if (scheduled[i].lastCapture() == CaptureKind::kSkipped &&
           scheduled[i].allStarted()) {
         metrics::increment(metrics::Event::kLeasesPreempted);
       }
@@ -1127,6 +1122,31 @@ bool replayFail(std::string* error, const std::string& why) {
   return false;
 }
 
+/// Request type and relation bytes as the live decoder accepts them
+/// (net/wire.cpp); a cast of anything else would be undefined.
+bool validEnumBytes(std::uint8_t type, std::uint8_t how) {
+  return type <= static_cast<std::uint8_t>(RequestType::kPreemptible) &&
+         how <= static_cast<std::uint8_t>(Relation::kNext);
+}
+
+/// Claims a replayed allocation node by node, refusing nodes this machine
+/// does not have (a journal written under a larger --nodes) and nodes
+/// already allocated, including twice within `ids`.
+bool claimReplayed(NodePool& pool, std::span<const NodeId> ids,
+                   std::string* error) {
+  for (const NodeId& nid : ids) {
+    if (!pool.contains(nid)) {
+      return replayFail(error, "node " + toString(nid) +
+                                   " is not on this machine");
+    }
+    if (!pool.isFree(nid)) {
+      return replayFail(error, "node " + toString(nid) + " allocated twice");
+    }
+    pool.claim(std::span<const NodeId>(&nid, 1));
+  }
+  return true;
+}
+
 std::vector<NodeId> readNodeIds(net::Reader& r) {
   const std::uint32_t n = r.u32();
   std::vector<NodeId> ids;
@@ -1229,16 +1249,31 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
       const AppId app{r.i32()};
       const RequestId id{r.i64()};
       const std::int64_t wrapperId = r.i64();
-      const auto wrapperHow = static_cast<Relation>(r.u8());
+      const std::uint8_t wrapperHowByte = r.u8();
       const std::int64_t wrapperRelatedTo = r.i64();
       const std::uint64_t cookie = r.u64();
       const ClusterId cluster{r.i32()};
       const NodeCount nodes = r.i64();
       const Time duration = r.i64();
-      const auto rtype = static_cast<RequestType>(r.u8());
-      const auto how = static_cast<Relation>(r.u8());
+      const std::uint8_t typeByte = r.u8();
+      const std::uint8_t howByte = r.u8();
       const std::int64_t relatedTo = r.i64();
-      if (!r.done()) return replayFail(error, "malformed request record");
+      if (!r.done() || !validEnumBytes(typeByte, howByte) ||
+          !validEnumBytes(0, wrapperHowByte)) {
+        return replayFail(error, "malformed request record");
+      }
+      // The live path admits only these (Server::handleRequest).
+      if (scheduler_.machine().nodesOn(cluster) <= 0) {
+        return replayFail(error, "request " + toString(id) + " on unknown " +
+                                     toString(cluster));
+      }
+      if (nodes <= 0 || duration <= 0) {
+        return replayFail(error, "request " + toString(id) +
+                                     " without nodes or duration");
+      }
+      const auto wrapperHow = static_cast<Relation>(wrapperHowByte);
+      const auto rtype = static_cast<RequestType>(typeByte);
+      const auto how = static_cast<Relation>(howByte);
       SessionState* st = findSession(app);
       if (st == nullptr || st->killed || st->disconnected) {
         return replayFail(error, "request for unknown/dead " + toString(app));
@@ -1329,13 +1364,7 @@ bool Server::replayRecord(const std::vector<std::uint8_t>& payload, bool first,
           excess.push_back(nid);
         }
       }
-      for (const NodeId& nid : fresh) {
-        if (!pool_.isFree(nid)) {
-          return replayFail(error, "node " + toString(nid) +
-                                       " already allocated at replayed start");
-        }
-      }
-      pool_.claim(fresh);
+      if (!claimReplayed(pool_, fresh, error)) return false;
       if (!excess.empty()) pool_.release(excess);
       req->nodeIds = ids;
       req->nAlloc = nAlloc;
@@ -1497,8 +1526,8 @@ bool Server::replaySnapshot(const std::vector<std::uint8_t>& payload,
       req.cluster = ClusterId{r.i32()};
       req.nodes = r.i64();
       req.duration = r.i64();
-      req.type = static_cast<RequestType>(r.u8());
-      req.relatedHow = static_cast<Relation>(r.u8());
+      const std::uint8_t typeByte = r.u8();
+      const std::uint8_t howByte = r.u8();
       const std::int64_t relatedTo = r.i64();
       req.nAlloc = r.i64();
       req.scheduledAt = r.i64();
@@ -1512,17 +1541,16 @@ bool Server::replaySnapshot(const std::vector<std::uint8_t>& payload,
       req.expiryNotified = (notified & 2) != 0;
       req.endNotified = (notified & 4) != 0;
       req.nodeIds = readNodeIds(r);
-      if (!r.ok() || static_cast<std::uint8_t>(req.type) > 2 ||
-          static_cast<std::uint8_t>(req.relatedHow) > 2) {
+      if (!r.ok() || !validEnumBytes(typeByte, howByte)) {
         return replayFail(error, "malformed snapshot request");
       }
-      for (const NodeId& nid : req.nodeIds) {
-        if (!pool_.isFree(nid)) {
-          return replayFail(error, "snapshot allocates " + toString(nid) +
-                                       " twice");
-        }
+      req.type = static_cast<RequestType>(typeByte);
+      req.relatedHow = static_cast<Relation>(howByte);
+      if (scheduler_.machine().nodesOn(req.cluster) <= 0) {
+        return replayFail(error, "snapshot request " + toString(req.id) +
+                                     " on unknown " + toString(req.cluster));
       }
-      pool_.claim(req.nodeIds);
+      if (!claimReplayed(pool_, req.nodeIds, error)) return false;
       Request* raw = request.get();
       setFor(st, req.type).add(raw);
       requestIndex_.emplace(req.id.value, std::make_pair(app, raw));

@@ -152,12 +152,6 @@ class Server {
     /// Wrap bare non-preemptible requests of applications without an
     /// explicit pre-allocation in implicit pre-allocations (§3.2).
     bool implicitWrap = true;
-    /// Incremental scheduling passes (SchedulerOptions::incremental): in
-    /// steady state, epoch-clean all-started applications keep their
-    /// previous allocation as a renewed lease (their views are served from
-    /// the scheduler's cache and the stashed copies stay valid) instead of
-    /// being re-derived each pass. Bit-identical either way.
-    bool incremental = true;
     /// Once an attached journal grows past this many bytes, the next pass
     /// commit rewrites it as a single snapshot record (rms/journal.hpp
     /// compaction) instead of letting it grow without bound.
@@ -168,14 +162,13 @@ class Server {
     Time slowPass = 0;
 
     /// Projection of the shared runtime-tuning surface
-    /// (common/runtime_options.hpp): the four shared knobs come from
+    /// (common/runtime_options.hpp): the three scheduling knobs come from
     /// `runtime`, everything else keeps its default.
     [[nodiscard]] static Config fromRuntime(const RuntimeOptions& runtime) {
       Config config;
       config.reschedInterval = runtime.reschedInterval;
       config.strictEquiPartition = runtime.strictEquiPartition;
       config.threads = runtime.threads;
-      config.incremental = runtime.incremental;
       return config;
     }
   };
@@ -251,6 +244,9 @@ class Server {
 
   [[nodiscard]] const Machine& machine() const { return scheduler_.machine(); }
   [[nodiscard]] const NodePool& pool() const { return pool_; }
+  /// The pass scheduler, read-only. Tests reach its const
+  /// invalidateIncremental() through it to run every pass cold.
+  [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
 
   /// Number of scheduling passes run so far (test/bench introspection).
   [[nodiscard]] std::uint64_t passCount() const { return passCount_; }

@@ -219,9 +219,15 @@ struct Scenario {
 /// Runs a scenario on the discrete-event engine. Returns false if the
 /// event queue drained (or `maxVirtual` passed) before every step fired
 /// and `finished` held; afterwards the queue is drained completely (the
-/// settle phase — remaining view pushes etc.).
+/// settle phase — remaining view pushes etc.). `beforeEvent`, when set,
+/// runs before every dispatched event.
 inline bool runInProcess(Engine& engine, Scenario& scenario,
-                         Time maxVirtual = minutes(10)) {
+                         Time maxVirtual = minutes(10),
+                         const std::function<void()>& beforeEvent = {}) {
+  const auto step = [&] {
+    if (beforeEvent) beforeEvent();
+    return engine.step();
+  };
   std::size_t next = 0;
   while (engine.now() <= maxVirtual) {
     if (next < scenario.steps.size() && scenario.steps[next].ready()) {
@@ -230,9 +236,10 @@ inline bool runInProcess(Engine& engine, Scenario& scenario,
       continue;
     }
     if (next >= scenario.steps.size() && scenario.finished()) break;
-    if (!engine.step()) return false;  // drained without finishing
+    if (!step()) return false;  // drained without finishing
   }
-  engine.run();  // settle
+  while (step()) {
+  }  // settle
   return next >= scenario.steps.size() && scenario.finished();
 }
 

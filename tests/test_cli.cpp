@@ -145,6 +145,15 @@ TEST(Cli, NonPositiveThreadsIsError) {
   EXPECT_EQ(parse({"--threads"}).status, ParseStatus::kError);
 }
 
+TEST(Cli, ThreadsAboveCapIsError) {
+  // Parsing only: a pool is never built here, so no thread is started.
+  EXPECT_EQ(parse({"--threads", "256"}).options.runtime.threads, kMaxThreads);
+  EXPECT_EQ(parse({"--threads", "257"}).status, ParseStatus::kError);
+  const ParseResult huge = parse({"--threads", "100000"});
+  EXPECT_EQ(huge.status, ParseStatus::kError);
+  EXPECT_EQ(huge.error, "invalid numeric option");
+}
+
 TEST(Cli, HelpShortCircuits) {
   EXPECT_EQ(parse({"--help"}).status, ParseStatus::kHelp);
   EXPECT_EQ(parse({"-h"}).status, ParseStatus::kHelp);
@@ -256,6 +265,8 @@ TEST(Cli, UsageMentionsEveryOption) {
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
         "--threads", "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
+        "--journal", "--idle-deadline", "--resume-grace", "--io-backend",
+        "--delta-views", "--connections", "--probe",
         "--stats-all", "--trace-out", "--slow-pass-ms", "--metrics-listen",
         "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;

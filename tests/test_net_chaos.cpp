@@ -48,19 +48,20 @@ Server::Config chaosConfig() {
 }
 
 // The chaos daemons run the full c100k serving path explicitly: epoll
-// backend, delta view pushes, write coalescing — a SIGKILL/restart must be
-// invisible through all three (the restarted daemon knows nothing of the
-// old delta sequence, so every resumed session restarts from a full push).
+// backend and delta view pushes (write coalescing is always on) — a
+// SIGKILL/restart must be invisible through all of it (the restarted
+// daemon knows nothing of the old delta sequence, so every resumed session
+// restarts from a full push).
 const std::vector<std::string> kDaemonArgs = {
     "--nodes", "16", "--resched", "0.1",
     "--resume-grace", "30", "--io-backend", "epoll",
-    "--delta-views", "on", "--coalesce", "on"};
+    "--delta-views", "on"};
 
 /// The portable poll(2) fallback, same everything else.
 const std::vector<std::string> kPollDaemonArgs = {
     "--nodes", "16", "--resched", "0.1",
     "--resume-grace", "30", "--io-backend", "poll",
-    "--delta-views", "on", "--coalesce", "on"};
+    "--delta-views", "on"};
 
 std::string journalPath(const std::string& name) {
   const std::string path = testing::TempDir() + "coorm_chaos_" + name + ".journal";
@@ -310,20 +311,21 @@ struct LeaseRun {
 };
 
 TEST(NetChaos, KillMidSteadyStateWithLeasesMatchesPristineServer) {
-  // Reference: pristine serial full-recompute server, uninterrupted.
+  // Reference: serial server, uninterrupted, whose scheduler cache is
+  // dropped before every event, so each of its passes is a cold full
+  // recompute.
   LeaseRun reference;
   Engine engine;
-  Server::Config pristine = chaosConfig();
-  pristine.incremental = false;
-  Server server(engine, Machine::single(16), pristine);
+  Server server(engine, Machine::single(16), chaosConfig());
   InProcessTransport direct(server);
   reference.wire(direct);
-  ASSERT_TRUE(runInProcess(engine, reference.scenario))
-      << "in-process reference run did not finish";
+  ASSERT_TRUE(runInProcess(engine, reference.scenario, minutes(10), [&] {
+    server.scheduler().invalidateIncremental();
+  })) << "in-process reference run did not finish";
 
-  // Chaos run: the daemon keeps its defaults — incremental passes on —
-  // so the kill lands while leases are being renewed from the scheduler's
-  // cache, and the restart must rebuild that state from the journal alone.
+  // Chaos run: the kill lands while leases are being renewed from the
+  // scheduler's warm cache, and the restart must rebuild that state from
+  // the journal alone.
   ChildDaemon daemon(COORM_RMSD_PATH, journalPath("leases"), kDaemonArgs);
   daemon.start();
   LeaseRun remote;
@@ -351,7 +353,7 @@ TEST(NetChaos, KillMidSteadyStateWithLeasesMatchesPristineServer) {
   EXPECT_EQ(startsOf(remote.holder.trace, "started #1"), 1);
   EXPECT_EQ(startsOf(remote.holder.trace, "ended #1"), 1);
 
-  // The restarted daemon really ran incremental steady state: the ticker's
+  // The restarted daemon really ran a warm steady state: the ticker's
   // passes classified the quiet holder as an epoch-clean lease (skipped on
   // recapture and fed through the renew/preempt lease path) after the
   // journal replay rebuilt its sessions.

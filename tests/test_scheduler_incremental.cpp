@@ -1,21 +1,22 @@
-// Differential suite for the incremental scheduling core (ISSUE 8).
+// Differential suite for the scheduling pass's pass-to-pass cache.
 //
-// The incremental pass promises *bit-identical* output to the full
-// recompute — every request attribute and the exact view representation
-// (operator==, not sameAs) — at every thread count, over any churn rate:
+// schedulePass promises *bit-identical* output whatever its cache state —
+// every request attribute and the exact view representation (operator==,
+// not sameAs) — at every thread count, over any churn rate:
 //  - epoch-clean all-started applications are served from the pass-to-pass
 //    cache (their snapshot reports viewsReused and the previous views stay
 //    exact);
 //  - eqSchedule Step 2 re-sweeps only the breakpoint ranges whose inputs
 //    changed and splices the clean ranges from the cached output;
-//  - any fallback (population change, cluster-union change, abandoned
-//    pass) silently degrades to a full re-derivation, never to a wrong
-//    one.
-// The suite pins all of that on randomized churn grids (population sizes
-// × churn rates {0,1,10,100}% × threads {1,2,4,8}) driven through the
-// real snapshot/epoch machinery, and closes with a long-horizon server
-// fuzz: an incremental server must trace-match the pristine single-threaded
-// full-recompute server exactly.
+//  - a cold cache (first pass, population change, cluster-union change,
+//    abandoned pass) re-derives everything, never something wrong.
+// The oracle is test-only: reference_scheduler.hpp rebuilds Algorithm 4
+// from the public building blocks and never calls schedulePass. The suite
+// pins the pass against it on randomized churn grids (population sizes ×
+// churn rates {0,1,10,100}% × threads {1,2,4,8}) driven through the real
+// snapshot/epoch machinery, and closes with a long-horizon server fuzz: a
+// server with a warm cache must trace-match a serial server whose cache is
+// dropped before every event, so that each of its passes runs cold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coorm/common/metrics.hpp"
@@ -30,6 +32,7 @@
 #include "coorm/rms/scheduler.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
+#include "reference_scheduler.hpp"
 
 namespace coorm {
 namespace {
@@ -50,7 +53,7 @@ struct Population {
 
 /// Deterministic randomized population. A slice of the applications is
 /// "stable": every request started and holding node IDs — the steady-state
-/// leases the incremental pass serves from its cache. The rest mixes
+/// leases a warm pass serves from its cache. The rest mixes
 /// pending and started requests across all three sets.
 /// `stablePct` of the applications (probabilistically) are all-started
 /// lease holders; 100 gives a pure steady-state population whose passes
@@ -207,23 +210,25 @@ void churn(Population& p, std::uint64_t passSeed, int churnPct, Time now) {
   }
 }
 
+/// A population plus the views its last pass stashed, the way the server
+/// keeps them.
+struct Twin {
+  explicit Twin(Population population) : pop(std::move(population)) {}
+  Population pop;
+  std::vector<View> stashNp, stashP;
+};
+
 /// One scheduler + snapshot driven across passes the way the server does:
 /// recapture with epochs, schedulePass, writeBack, stash views (honouring
 /// viewsReused exactly like Server::commitPass).
-struct Runner {
-  Population pop;
+struct Runner : Twin {
   Scheduler scheduler;
   RequestSetSnapshot snapshot;
-  std::vector<View> stashNp, stashP;
 
-  Runner(std::uint64_t seed, int napps, bool incremental, int threads,
-         int stablePct = 60)
-      : pop(makePopulation(seed, napps, stablePct)),
-        scheduler(pop.machine, Scheduler::Config{pop.strict}, [&] {
-          SchedulerOptions options{threads};
-          options.incremental = incremental;
-          return options;
-        }()) {}
+  Runner(std::uint64_t seed, int napps, int threads, int stablePct = 60)
+      : Twin(makePopulation(seed, napps, stablePct)),
+        scheduler(pop.machine, Scheduler::Config{pop.strict},
+                  SchedulerOptions{threads}) {}
 
   void pass(Time now) {
     snapshot.recapture(pop.apps);
@@ -240,10 +245,27 @@ struct Runner {
   }
 };
 
+/// The oracle twin: every pass is the test-only reference, straight on the
+/// live request sets.
+struct Reference : Twin {
+  Reference(std::uint64_t seed, int napps)
+      : Twin(makePopulation(seed, napps)) {}
+
+  void pass(Time now) {
+    testing_reference::referenceSchedule(pop.machine, pop.apps, now,
+                                         pop.strict);
+    stashNp.resize(pop.apps.size());
+    stashP.resize(pop.apps.size());
+    for (std::size_t i = 0; i < pop.apps.size(); ++i) {
+      stashNp[i] = pop.apps[i].nonPreemptiveView;
+      stashP[i] = pop.apps[i].preemptiveView;
+    }
+  }
+};
+
 /// Bit-level comparison: every request attribute and the exact view
 /// representation must match (operator==, not sameAs).
-void expectIdentical(const Runner& a, const Runner& b,
-                     const std::string& label) {
+void expectIdentical(const Twin& a, const Twin& b, const std::string& label) {
   SCOPED_TRACE(label);
   ASSERT_EQ(a.pop.owned.size(), b.pop.owned.size());
   for (std::size_t i = 0; i < a.pop.owned.size(); ++i) {
@@ -269,17 +291,17 @@ void expectIdentical(const Runner& a, const Runner& b,
 
 void runGrid(std::uint64_t seed, int napps, int churnPct, int threads,
              int passes) {
-  Runner full(seed, napps, /*incremental=*/false, /*threads=*/1);
-  Runner inc(seed, napps, /*incremental=*/true, threads);
+  Reference ref(seed, napps);
+  Runner inc(seed, napps, threads);
   for (int pass = 0; pass < passes; ++pass) {
     const Time now = sec(60 + pass * 30);
-    churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), churnPct,
+    churn(ref.pop, seed * 1000 + static_cast<std::uint64_t>(pass), churnPct,
           now);
     churn(inc.pop, seed * 1000 + static_cast<std::uint64_t>(pass), churnPct,
           now);
-    full.pass(now);
+    ref.pass(now);
     inc.pass(now);
-    expectIdentical(full, inc,
+    expectIdentical(ref, inc,
                     "seed=" + std::to_string(seed) +
                         " napps=" + std::to_string(napps) +
                         " churn=" + std::to_string(churnPct) +
@@ -310,8 +332,7 @@ TEST(SchedulerIncremental, LargePopulationLowChurn) {
 
 TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
   // Pure lease population: every pass after the first is a renewal.
-  Runner inc(/*seed=*/7, /*napps=*/48, /*incremental=*/true, /*threads=*/1,
-             /*stablePct=*/100);
+  Runner inc(/*seed=*/7, /*napps=*/48, /*threads=*/1, /*stablePct=*/100);
   inc.pass(sec(60));  // cold pass primes the cache
   const metrics::Snapshot before = metrics::snapshot();
   inc.pass(sec(90));  // no churn: pure steady state
@@ -330,34 +351,34 @@ TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
 
 TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
   const std::uint64_t seed = 11;
-  Runner full(seed, 32, /*incremental=*/false, 1);
-  Runner inc(seed, 32, /*incremental=*/true, 4);
+  Reference ref(seed, 32);
+  Runner inc(seed, 32, /*threads=*/4);
   for (int pass = 0; pass < 5; ++pass) {
     const Time now = sec(60 + pass * 30);
-    churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
+    churn(ref.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
     churn(inc.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
     if (pass == 2) inc.scheduler.invalidateIncremental();  // abandoned pass
-    full.pass(now);
+    ref.pass(now);
     inc.pass(now);
-    expectIdentical(full, inc, "pass=" + std::to_string(pass));
+    expectIdentical(ref, inc, "pass=" + std::to_string(pass));
   }
 }
 
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
   const std::uint64_t seed = 23;
-  Runner full(seed, 24, /*incremental=*/false, 1);
-  Runner inc(seed, 24, /*incremental=*/true, 2);
+  Reference ref(seed, 24);
+  Runner inc(seed, 24, /*threads=*/2);
   const auto dropApp = [](Population& p, std::size_t index) {
     p.apps.erase(p.apps.begin() + static_cast<long>(index));
   };
   for (int pass = 0; pass < 6; ++pass) {
     const Time now = sec(60 + pass * 30);
     if (pass == 2) {  // disconnect mid-steady-state
-      dropApp(full.pop, 5);
+      dropApp(ref.pop, 5);
       dropApp(inc.pop, 5);
     }
     if (pass == 4) {  // late joiner: fresh app appended to both twins
-      for (Population* p : {&full.pop, &inc.pop}) {
+      for (Population* p : {&ref.pop, &inc.pop}) {
         p->sets.push_back(std::make_unique<RequestSet>());
         RequestSet* pa = p->sets.back().get();
         p->sets.push_back(std::make_unique<RequestSet>());
@@ -381,18 +402,18 @@ TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
         p->apps.push_back(std::move(app));
       }
     }
-    churn(full.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 5, now);
+    churn(ref.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 5, now);
     churn(inc.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 5, now);
-    full.pass(now);
+    ref.pass(now);
     inc.pass(now);
-    expectIdentical(full, inc, "pass=" + std::to_string(pass));
+    expectIdentical(ref, inc, "pass=" + std::to_string(pass));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Long-horizon server fuzz: incremental vs pristine single-threaded full
-// recompute. Applications acquire preemptible leases, then mostly idle —
-// long steady-state stretches where the incremental server renews leases —
+// Long-horizon server fuzz: warm cache vs a serial server that runs every
+// pass cold. Applications acquire preemptible leases, then mostly idle —
+// long steady-state stretches where the warm server renews leases —
 // interleaved with bursts of new requests and releases.
 // ---------------------------------------------------------------------------
 
@@ -406,7 +427,7 @@ class LeaseApp : public AppEndpoint {
   void attach(Server& server) {
     session_ = server.connect(*this);
     // Initial leases, then sparse activity: long quiet stretches are the
-    // steady state the incremental server must renew through.
+    // steady state the warm server must renew through.
     const int leases = static_cast<int>(rng_.uniformInt(1, 3));
     for (int i = 0; i < leases; ++i) acquire();
     scheduleAction();
@@ -539,8 +560,11 @@ struct ServerOutcome {
   std::uint64_t leasesRenewed = 0;
 };
 
-ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
-                                int threads,
+/// `coldEveryPass` makes the reference server: its scheduler cache is
+/// dropped before every dispatched event, so each pass it runs is a cold
+/// full recompute.
+ServerOutcome runServerScenario(std::uint64_t seed, int threads,
+                                bool coldEveryPass,
                                 Time horizon = minutes(20)) {
   const metrics::Snapshot before = metrics::snapshot();
   Engine engine;
@@ -549,7 +573,6 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
   machine.clusters.push_back({kC1, 8});
   Server::Config config;
   config.reschedInterval = sec(1);
-  config.incremental = incremental;
   config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
@@ -561,6 +584,12 @@ ServerOutcome runServerScenario(std::uint64_t seed, bool incremental,
     apps.push_back(
         std::make_unique<LeaseApp>(engine, rng.fork().engine()()));
     apps.back()->attach(server);
+  }
+  if (coldEveryPass) {
+    while (!engine.empty() && engine.nextEventAt() <= horizon) {
+      server.scheduler().invalidateIncremental();
+      engine.step();
+    }
   }
   engine.runUntil(horizon);
 
@@ -582,10 +611,12 @@ TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
   std::uint64_t totalRenewed = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const ServerOutcome pristine =
-        runServerScenario(seed, /*incremental=*/false, /*threads=*/1);
+        runServerScenario(seed, /*threads=*/1, /*coldEveryPass=*/true);
+    // Every reference pass really ran cold: nothing was served from cache.
+    EXPECT_EQ(pristine.leasesRenewed, 0u);
     for (const int threads : {1, 4}) {
       const ServerOutcome inc =
-          runServerScenario(seed, /*incremental=*/true, threads);
+          runServerScenario(seed, threads, /*coldEveryPass=*/false);
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " threads=" + std::to_string(threads));
       ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());

@@ -16,9 +16,12 @@
 #include "coorm/common/rng.hpp"
 #include "coorm/common/worker_pool.hpp"
 #include "coorm/rms/scheduler.hpp"
+#include "reference_scheduler.hpp"
 
 namespace coorm {
 namespace {
+
+using testing_reference::referenceSchedule;
 
 struct Population {
   Machine machine;
@@ -178,43 +181,6 @@ void scheduleWithThreads(Population& p, int threads) {
   Scheduler scheduler(p.machine, Scheduler::Config{p.strict},
                       SchedulerOptions{threads});
   scheduler.schedule(p.apps, p.now);
-}
-
-/// The pre-refactor serial scheduling pass (Algorithm 4 as of PR 2),
-/// rebuilt from the public building blocks with plain binary view algebra:
-/// no pool, no N-ary batching, no occupation-view reuse. The refactored
-/// pass must reproduce it bit for bit.
-void referenceSchedule(const Machine& machine, std::span<AppSchedule> apps,
-                       Time now, bool strict) {
-  const Scheduler plain(machine);
-  View vnp = plain.machineView();
-  View vp = plain.machineView();
-  for (AppSchedule& app : apps) {
-    vnp -= Scheduler::toView(*app.preAllocations);
-  }
-
-  std::vector<View> npOcc;
-  std::vector<View> npFitted;
-  for (AppSchedule& app : apps) {
-    const View ownStartedPa = Scheduler::toView(*app.preAllocations);
-    app.nonPreemptiveView = ownStartedPa + vnp;
-    app.nonPreemptiveView.clampMin(0);
-
-    const View occPa =
-        Scheduler::fit(*app.preAllocations, app.nonPreemptiveView, now);
-
-    npOcc.push_back(Scheduler::toView(*app.nonPreemptible));
-    View npAvailable = ownStartedPa + occPa - npOcc.back();
-    npAvailable.clampMin(0);
-    npFitted.push_back(Scheduler::fit(*app.nonPreemptible, npAvailable, now));
-
-    vnp -= occPa;
-  }
-
-  for (const View& occ : npOcc) vp -= occ;
-  for (const View& occ : npFitted) vp -= occ;
-  vp.clampMin(0);
-  Scheduler::eqSchedule(apps, vp, now, strict);
 }
 
 TEST(SchedulerParallel, ScheduleBitIdenticalAcrossThreadCounts) {

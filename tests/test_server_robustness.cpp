@@ -1,8 +1,14 @@
 // Regression tests for protocol-liveness bugs: stale constraint targets,
-// walltime exhaustion, and the pending-grow deadlock.
+// walltime exhaustion, the pending-grow deadlock, and journal replays the
+// machine cannot hold.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "coorm/exp/scenario.hpp"
+#include "coorm/rms/journal.hpp"
 
 namespace coorm {
 namespace {
@@ -112,6 +118,94 @@ TEST(ServerRobustness, DoneOnForeignRequestIsIgnored) {
   EXPECT_FALSE(victim.finished());  // still running, untouched
   sc.runFor(sec(120));
   EXPECT_TRUE(victim.finished());
+}
+
+using Records = std::vector<std::vector<std::uint8_t>>;
+
+/// The journal of a live 16-node server on which one session holds all 16
+/// nodes through a started non-preemptible request.
+Records fullMachineJournal(const std::string& name) {
+  const std::string path =
+      testing::TempDir() + "coorm_robustness_" + name + ".journal";
+  std::remove(path.c_str());
+  {
+    rms::Journal journal(path, 0);  // outlives every Server write
+    Engine engine;
+    Server server(engine, Machine::single(16));
+    server.attachJournal(&journal);
+    AppEndpoint endpoint;
+    Session* session = server.connect(endpoint, "holder");
+    RequestSpec spec;
+    spec.cluster = kC;
+    spec.nodes = 16;
+    spec.duration = sec(600);
+    spec.type = RequestType::kNonPreemptible;
+    EXPECT_TRUE(session->request(spec).valid());
+    engine.runUntil(sec(5));
+    EXPECT_EQ(server.pool().freeCount(kC), 0);
+    journal.sync();
+  }
+  const rms::ScanResult scan = rms::Journal::scan(path);
+  EXPECT_FALSE(scan.refused) << scan.diagnostic;
+  return scan.records;
+}
+
+/// The accepted-request record of the holder's 16-node request.
+std::vector<std::uint8_t>& requestRecord(Records& records) {
+  for (auto& payload : records) {
+    if (!payload.empty() &&
+        payload[0] == static_cast<std::uint8_t>(rms::RecordType::kRequest)) {
+      return payload;
+    }
+  }
+  ADD_FAILURE() << "no request record";
+  return records.front();
+}
+
+/// Replays `records` into a fresh server on `machine`; returns the
+/// diagnostic, empty when the replay was accepted.
+std::string replayInto(const Machine& machine, const Records& records) {
+  Engine engine;
+  Server server(engine, machine);
+  Time last = kNever;
+  std::string error;
+  const bool ok = server.restoreFromJournal(records, &last, &error);
+  EXPECT_EQ(ok, error.empty()) << error;
+  return ok ? std::string{} : error;
+}
+
+TEST(ServerRobustness, JournalReplayAcceptsItsOwnMachine) {
+  EXPECT_EQ(replayInto(Machine::single(16), fullMachineJournal("own")), "");
+}
+
+TEST(ServerRobustness, JournalFromLargerMachineIsRefusedNotFatal) {
+  // A journal written under --nodes 16 restored under --nodes 8: node 12
+  // does not exist here.
+  const std::string error =
+      replayInto(Machine::single(8), fullMachineJournal("larger"));
+  EXPECT_NE(error.find("is not on this machine"), std::string::npos) << error;
+}
+
+TEST(ServerRobustness, JournalRequestWithBadTypeByteIsRefusedNotFatal) {
+  Records records = fullMachineJournal("badtype");
+  std::vector<std::uint8_t>& request = requestRecord(records);
+  // Tail layout: ... type u8, relation u8, relatedTo i64.
+  request[request.size() - 10] = 7;
+  const std::string error = replayInto(Machine::single(16), records);
+  EXPECT_NE(error.find("malformed request record"), std::string::npos)
+      << error;
+}
+
+TEST(ServerRobustness, JournalRequestOnUnknownClusterIsRefusedNotFatal) {
+  Records records = fullMachineJournal("badcluster");
+  std::vector<std::uint8_t>& request = requestRecord(records);
+  // Tail layout: ... cluster i32, nodes i64, duration i64, type u8,
+  // relation u8, relatedTo i64.
+  for (std::size_t i = request.size() - 30; i < request.size() - 26; ++i) {
+    request[i] = 0x05;
+  }
+  const std::string error = replayInto(Machine::single(16), records);
+  EXPECT_NE(error.find("on unknown"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -22,12 +22,9 @@ void printUsage(std::ostream& out) {
          "  --swf FILE         replay a rigid SWF trace\n"
          "  --strict           strict equi-partitioning (no filling)\n"
          "  --threads N        worker threads each scheduling pass fans out\n"
-         "                     over (default 1 = the loop thread alone; any\n"
-         "                     value yields bit-identical schedules)\n"
-         "  --incremental on|off\n"
-         "                     incremental scheduling passes (default on);\n"
-         "                     off = every pass re-derives every app\n"
-         "                     (identical results)\n"
+         "                     over (default 1 = the loop thread alone, at\n"
+         "                     most 256; any value yields bit-identical\n"
+         "                     schedules)\n"
          "  --until SECS       horizon when no AMR is present (default 86400)\n"
          "  --timeline         render an ASCII allocation timeline\n"
          "  --trace            dump the protocol trace\n"
@@ -53,8 +50,7 @@ void printUsage(std::ostream& out) {
          "  --delta-views on|off\n"
          "                     coorm_rmsd: sequenced VIEWS_DELTA pushes\n"
          "                     (default on; off = full VIEWS per pass)\n"
-         "  --coalesce on|off  coorm_rmsd: batch each pass commit's frames\n"
-         "                     into one write per session (default on)\n"
+
          "  --connections N    coorm_loadgen: concurrent sessions to hold\n"
          "                     open (default 1)\n"
          "  --probe M          coorm_loadgen: REQUEST round-trip latency\n"
@@ -108,16 +104,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       options.runtime.strictEquiPartition = true;
     } else if (arg == "--threads" && (v = value(i))) {
       options.runtime.threads = std::atoi(v);
-    } else if (arg == "--incremental" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.runtime.incremental = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.runtime.incremental = false;
-      } else {
-        result.error =
-            std::string("bad --incremental value (want on|off): ") + v;
-        return result;
-      }
     } else if (arg == "--until" && (v = value(i))) {
       options.until = secF(std::atof(v));
     } else if (arg == "--timeline") {
@@ -166,15 +152,6 @@ ParseResult parseArgs(int argc, const char* const* argv) {
             std::string("bad --delta-views value (want on|off): ") + v;
         return result;
       }
-    } else if (arg == "--coalesce" && (v = value(i))) {
-      if (std::strcmp(v, "on") == 0) {
-        options.coalesce = true;
-      } else if (std::strcmp(v, "off") == 0) {
-        options.coalesce = false;
-      } else {
-        result.error = std::string("bad --coalesce value (want on|off): ") + v;
-        return result;
-      }
     } else if (arg == "--connections" && (v = value(i))) {
       options.connections = std::atoi(v);
     } else if (arg == "--probe" && (v = value(i))) {
@@ -198,6 +175,7 @@ ParseResult parseArgs(int argc, const char* const* argv) {
   }
   if (options.nodes <= 0 || options.amrSteps <= 0 ||
       options.overcommit <= 0.0 || options.runtime.threads <= 0 ||
+      options.runtime.threads > kMaxThreads ||
       options.runtime.reschedInterval <= 0 || options.idleDeadline < 0 ||
       options.resumeGrace < 0 || options.connections <= 0 ||
       options.probes < 0 || options.slowPassMs < 0) {

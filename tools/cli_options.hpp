@@ -22,6 +22,10 @@
 
 namespace coorm::cli {
 
+/// Upper bound of --threads: each worker is an OS thread, started when the
+/// scheduler is built.
+inline constexpr int kMaxThreads = 256;
+
 /// Everything the coorm tools can be told on the command line.
 struct Options {
   NodeCount nodes = 128;
@@ -35,8 +39,8 @@ struct Options {
   int syntheticJobs = 0;
   std::string swfPath;
   /// The shared runtime-tuning knobs (threads, resched interval, strict
-  /// equi-partitioning, incremental passes, io backend), parsed once here
-  /// and projected into Server::Config / SchedulerOptions by the drivers.
+  /// equi-partitioning, io backend), parsed once here and projected into
+  /// Server::Config / SchedulerOptions by the drivers.
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;
@@ -63,8 +67,6 @@ struct Options {
   /// coorm_rmsd: sequenced VIEWS_DELTA pushes (off = whole VIEWS frame
   /// per pass, the v2 behaviour — differential-test fodder).
   bool deltaViews = true;
-  /// coorm_rmsd: per-session write coalescing (off = one send per frame).
-  bool coalesce = true;
   /// coorm_loadgen: concurrent AppLink sessions to hold open (ramped up
   /// in batches so the daemon's accept loop is never the bottleneck).
   int connections = 1;

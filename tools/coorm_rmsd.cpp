@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
     daemonConfig.idleDeadline = options.idleDeadline;
     daemonConfig.resumeGrace = options.resumeGrace;
     daemonConfig.deltaViews = options.deltaViews;
-    daemonConfig.coalesceWrites = options.coalesce;
     net::Daemon daemon(executor, server, daemonConfig);
     net::MetricsHttpServer metricsHttp(executor);
     if (options.metricsListen) {
