@@ -272,13 +272,6 @@ void RmsClient::handleFrame(const FrameView& frame) {
       // Unmatched acks (e.g. after a timed-out wait) are dropped.
       return;
     }
-    case MsgType::kViews: {
-      ViewsMsg msg;
-      if (!decode(frame.payload, msg)) break;
-      pending_.push_back(std::move(msg));
-      armDrain();
-      return;
-    }
     case MsgType::kViewsDelta: {
       ViewsDeltaMsg msg;
       if (!decode(frame.payload, msg)) {
@@ -311,10 +304,7 @@ void RmsClient::handleFrame(const FrameView& frame) {
       encode(scratch_, ViewsAckMsg{msg.seq, ViewsAckMsg::Status::kApplied});
       sendFrame();
       if (dead_ || !fd_.valid()) return;  // the ack send may have killed us
-      ViewsMsg views;
-      views.nonPreemptive = curNp_;
-      views.preemptive = curP_;
-      pending_.push_back(std::move(views));
+      pending_.push_back(ViewsEvent{curNp_, curP_});
       armDrain();
       return;
     }
@@ -396,7 +386,7 @@ void RmsClient::drain() {
   while (!pending_.empty()) {
     DownMsg msg = std::move(pending_.front());
     pending_.pop_front();
-    if (auto* views = std::get_if<ViewsMsg>(&msg)) {
+    if (auto* views = std::get_if<ViewsEvent>(&msg)) {
       endpoint_->onViews(views->nonPreemptive, views->preemptive);
     } else if (auto* started = std::get_if<StartedMsg>(&msg)) {
       endpoint_->onStarted(started->id, started->nodeIds);

@@ -13,14 +13,15 @@
 //    `AppEndpoint` callbacks dispatched from the owning IoExecutor loop,
 //    in arrival order, never re-entrantly from inside a blocking wait.
 //
-// View pushes (version 3): the daemon ships sequenced VIEWS_DELTA frames.
+// View pushes (version 3; the only push since version 5): the daemon
+// ships sequenced VIEWS_DELTA frames.
 // The client keeps the last applied view pair; a full push replaces it, a
 // delta push splices per-cluster windows onto it (profile_diff.hpp), and
 // each applied push is VIEWS_ACKed so the daemon may diff against it. Any
 // gap, unknown cluster or undecodable window acks `resync` instead — the
 // daemon answers with a full sync point — so the views delivered to the
 // endpoint are bit-identical to full pushes at every commit, just cheaper
-// on the wire. Legacy VIEWS frames still deliver as before.
+// on the wire.
 //
 // Crash safety (version 2): with Config::reconnect set, a lost connection
 // does not end the session. The client redials with exponential backoff +
@@ -128,7 +129,13 @@ class RmsClient final : public AppLink {
   void disconnect() override;
 
  private:
-  using DownMsg = std::variant<ViewsMsg, StartedMsg, ExpiredMsg, EndedMsg,
+  /// The views after an applied VIEWS_DELTA, queued for onViews (an
+  /// in-memory event only; the wire carries the delta).
+  struct ViewsEvent {
+    View nonPreemptive;
+    View preemptive;
+  };
+  using DownMsg = std::variant<ViewsEvent, StartedMsg, ExpiredMsg, EndedMsg,
                                KilledMsg>;
 
   void onIo(short events);

@@ -354,11 +354,6 @@ void Daemon::handleFrame(Connection& conn, const FrameView& frame) {
 
 void Daemon::pushViews(Connection& conn, const View& nonPreemptive,
                        const View& preemptive) {
-  if (!config_.deltaViews) {
-    encodeViews(scratch_, nonPreemptive, preemptive);
-    send(conn, MsgType::kViews);
-    return;
-  }
   // Delta only against a base the client provably holds: the latest push,
   // acked. Anything else (first push, unacked pipeline, post-resync,
   // changed cluster set) ships as a full sync point.

@@ -1,8 +1,9 @@
 #include "coorm/net/epoll_executor.hpp"
 
 #include <sys/epoll.h>
-#include <unistd.h>
 
+#include <cerrno>
+#include <system_error>
 #include <utility>
 
 #include "coorm/common/check.hpp"
@@ -24,18 +25,12 @@ std::uint32_t toEpollMask(short events) {
 
 }  // namespace
 
-bool EpollExecutor::available() {
-  static const bool ok = [] {
-    const int fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) return false;
-    ::close(fd);
-    return true;
-  }();
-  return ok;
-}
-
 EpollExecutor::EpollExecutor() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
-  COORM_CHECK(epfd_.valid());
+  // Reachable: a process at its fd limit (EMFILE) or a kernel out of
+  // files or memory (ENFILE, ENOMEM). Callers report it and exit.
+  if (!epfd_.valid()) {
+    throw std::system_error(errno, std::generic_category(), "epoll_create1");
+  }
 }
 
 void EpollExecutor::control(int op, int fd, short events) {

@@ -7,17 +7,18 @@
 //
 // Edge-triggered is safe against the existing consumers because they
 // already drain: the daemon's accept loop accepts until EAGAIN, both
-// daemon and client read through `drainReadable` (reads to EAGAIN or
-// short read == empty buffer), and flush loops write until EAGAIN before
-// arming kWritable. EPOLL_CTL_ADD and _MOD deliver an edge when the fd is
-// already ready, so watch-after-data-arrived and kWritable re-arming need
-// no level-triggered crutch.
+// daemon and client read through `drainReadable` (reads to EAGAIN or EOF
+// — a short read is not proof of an empty socket, since a FIN riding
+// with the last bytes raises no edge of its own), and flush loops write
+// until EAGAIN before arming kWritable. EPOLL_CTL_ADD and _MOD deliver an
+// edge when the fd is already ready, so watch-after-data-arrived and
+// kWritable re-arming need no level-triggered crutch.
 //
 // Dispatch re-looks-up each ready fd in the watcher table before invoking
 // the callback — a callback earlier in the same batch may have unwatched
-// (or closed and re-registered) the fd, matching the poll backend's
-// documented semantics. unwatch() must precede ::close(fd), as the base
-// contract requires; epoll drops closed fds silently otherwise.
+// (or closed and re-registered) the fd. unwatch() must precede
+// ::close(fd), as the base contract requires; epoll drops closed fds
+// silently otherwise.
 #pragma once
 
 #include <sys/epoll.h>
@@ -32,10 +33,7 @@ namespace coorm::net {
 
 class EpollExecutor final : public IoExecutor {
  public:
-  /// One-shot kernel probe: can epoll_create1 succeed here? makeIoExecutor
-  /// falls back to PollExecutor when not.
-  [[nodiscard]] static bool available();
-
+  /// Throws std::system_error (errno) if epoll_create1 fails.
   EpollExecutor();
 
   void watch(int fd, short events, IoCallback cb) override;

@@ -1,11 +1,9 @@
 #include "coorm/net/io_executor.hpp"
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <utility>
 
 #include "coorm/net/epoll_executor.hpp"
-#include "coorm/net/poll_executor.hpp"
 
 namespace coorm::net {
 
@@ -62,15 +60,8 @@ void IoExecutor::run(Time slice) {
   }
 }
 
-std::unique_ptr<IoExecutor> makeIoExecutor(IoBackend backend) {
-  if (backend == IoBackend::kEpoll && EpollExecutor::available()) {
-    return std::make_unique<EpollExecutor>();
-  }
-  return std::make_unique<PollExecutor>();
-}
-
-const char* toString(IoBackend backend) {
-  return backend == IoBackend::kEpoll ? "epoll" : "poll";
+std::unique_ptr<IoExecutor> makeIoExecutor() {
+  return std::make_unique<EpollExecutor>();
 }
 
 }  // namespace coorm::net

@@ -13,10 +13,10 @@
 //  - file descriptors: kReadable/kWritable interest registered per fd, with
 //    the blocking wait bounded by the next due timer.
 //
-// The readiness mechanism is the only thing backends differ in: poll(2)
-// (PollExecutor, portable, O(watched) per wakeup) or epoll (EpollExecutor,
-// Linux, O(ready) per wakeup — the C100k path). The `Server`, `Daemon`
-// and `RmsClient` run unmodified on either.
+// The readiness mechanism lives in the subclass: EpollExecutor (Linux,
+// O(ready) per wakeup — the C100k path) is the one real-time loop, and the
+// base stays so a simulated loop can stand behind the same interface. The
+// `Server`, `Daemon` and `RmsClient` are written against this class only.
 #pragma once
 
 #include <chrono>
@@ -25,7 +25,6 @@
 #include <memory>
 
 #include "coorm/common/executor.hpp"
-#include "coorm/common/runtime_options.hpp"
 #include "coorm/common/time.hpp"
 
 namespace coorm::net {
@@ -102,12 +101,9 @@ class IoExecutor : public Executor {
   bool stopped_ = false;
 };
 
-/// Constructs the requested readiness backend. Falls back to poll(2) when
-/// the epoll backend is unavailable on this kernel (probe at creation), so
-/// callers can request kEpoll unconditionally.
-std::unique_ptr<IoExecutor> makeIoExecutor(IoBackend backend);
-
-/// Human-readable backend name ("poll" / "epoll") for logs and tools.
-const char* toString(IoBackend backend);
+/// Constructs the real-time loop (epoll). Throws std::system_error
+/// carrying errno when the kernel refuses the epoll instance (EMFILE,
+/// ENFILE, ENOMEM).
+std::unique_ptr<IoExecutor> makeIoExecutor();
 
 }  // namespace coorm::net

@@ -130,9 +130,11 @@ DrainStatus drainReadable(int fd, FrameBuffer& frames) {
   while (true) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
     if (n > 0) {
+      // A short read does not prove the socket empty: a FIN that arrived
+      // with these bytes is only seen by the next recv, and the
+      // edge-triggered loop reports no further edge for it.
       frames.append(
           std::span<const std::uint8_t>(buffer, static_cast<std::size_t>(n)));
-      if (n < static_cast<ssize_t>(sizeof(buffer))) return DrainStatus::kOk;
       continue;
     }
     if (n == 0) return DrainStatus::kClosed;

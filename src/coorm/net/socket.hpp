@@ -90,7 +90,7 @@ enum class DrainStatus {
 
 /// Reads all currently-available bytes from `fd` into `frames` (the
 /// shared recv loop of the daemon's and the client's read paths: 16 KiB
-/// chunks, EINTR retried, EAGAIN ends the drain).
+/// chunks, EINTR retried; only EAGAIN or the EOF ends the drain).
 [[nodiscard]] DrainStatus drainReadable(int fd, FrameBuffer& frames);
 
 }  // namespace coorm::net

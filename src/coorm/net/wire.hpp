@@ -18,7 +18,7 @@
 //   ------------------------------     ---------------------------------
 //   HELLO    name                      WELCOME  appId token
 //   REQUEST  cookie spec               REQ_ACK  cookie requestId
-//   DONE     requestId released[]      VIEWS    nonPreemptive preemptive
+//   DONE     requestId released[]      VIEWS_DELTA  seq full|windows
 //   GOODBYE                            STARTED  requestId nodeIds[]
 //   STATS                              EXPIRED  requestId
 //   PING     nonce                     ENDED    requestId
@@ -26,17 +26,18 @@
 //   VIEWS_ACK  seq status              STATS_REPLY  events[] gauges[]
 //                                      PONG     nonce
 //                                      RESUME_ACK  ok appId
-//                                      VIEWS_DELTA  seq full|windows
 //
-// VIEWS_DELTA is the v3 steady-state replacement for VIEWS: every push
-// carries a sequence number and is either a full view pair (a sync point)
-// or, once the client has acked the previous push, per-cluster splice
-// windows against that acked base — the segment-level diff the incremental
-// scheduler already computes (profile/profile_diff.hpp), typically a few
-// dozen bytes instead of a whole multi-KiB view pair. The client applies
+// VIEWS_DELTA is the one view push (the paper's per-pass notification of
+// both views): every push carries a sequence number and is either a full
+// view pair (a sync point) or, once the client has acked the previous
+// push, per-cluster splice windows against that acked base — the
+// segment-level diff the incremental scheduler already computes
+// (profile/profile_diff.hpp), typically a few dozen bytes instead of a
+// whole multi-KiB view pair. The client applies
 // and VIEWS_ACKs each push; any gap, unknown cluster or malformed window
 // makes it ack `resync` and the daemon answers with a fresh full push.
-// Legacy VIEWS remains valid (daemons with delta pushes disabled send it).
+// The unsequenced VIEWS frame (0x43) of versions 1-4 was retired in
+// version 5; its type byte is never reused and is refused at the header.
 //
 // PING/PONG is the liveness probe behind the daemon's idle-session sweep
 // (either side may PING; the peer echoes the nonce). RESUME re-attaches a
@@ -60,10 +61,12 @@
 // allocation. Encoding is allocation-light: frames append to a caller-owned
 // byte buffer that amortizes across messages.
 //
-// Versioning policy: `kProtocolVersion` names the frame layout. A daemon
-// rejects frames whose version it does not speak (closing the connection);
-// additions within a version append new message types, never reshape
-// existing payloads.
+// Versioning policy: `kProtocolVersion` names the frame layout. Both ends
+// reject frames whose version they do not speak (closing the connection),
+// at the frame header — so a payload decoder only ever sees its own
+// version's shapes and carries no cross-version branches. Additions
+// within a version append new message types or trailing catalogue
+// entries, never reshape existing payloads.
 #pragma once
 
 #include <cstddef>
@@ -80,13 +83,14 @@
 namespace coorm::net {
 
 inline constexpr std::uint16_t kMagic = 0xC052;  // "CooRMv2", squinting
-/// Version 4: STATS_REPLY carries the latency/size histogram catalogue
-/// (sparse bucket vectors after the counter pairs). Version 3 added
+/// Version 5: legacy VIEWS (0x43) retired; VIEWS_DELTA is the only view
+/// push. Version 4: STATS_REPLY carries the latency/size histogram
+/// catalogue (sparse bucket vectors after the counter pairs). Version 3 added
 /// sequenced delta view pushes — VIEWS_DELTA downstream (full sync points
 /// and per-cluster splice windows against the last applied push) and
 /// VIEWS_ACK upstream (applied / resync-request). Version 2 added the
 /// session resume token and PING/PONG/RESUME/RESUME_ACK.
-inline constexpr std::uint8_t kProtocolVersion = 4;
+inline constexpr std::uint8_t kProtocolVersion = 5;
 inline constexpr std::size_t kHeaderSize = 8;
 /// Upper bound on a payload; larger length fields are a protocol error
 /// (a views push of 4096-breakpoint profiles is ~128 KiB).
@@ -105,7 +109,7 @@ enum class MsgType : std::uint8_t {
   // downstream (RMS -> application)
   kWelcome = 0x41,
   kRequestAck = 0x42,
-  kViews = 0x43,
+  // 0x43 was VIEWS (versions 1-4): retired, never reused.
   kStarted = 0x44,
   kExpired = 0x45,
   kEnded = 0x46,
@@ -160,12 +164,6 @@ struct DoneMsg {
 
 struct GoodbyeMsg {
   friend bool operator==(const GoodbyeMsg&, const GoodbyeMsg&) = default;
-};
-
-struct ViewsMsg {
-  View nonPreemptive;
-  View preemptive;
-  friend bool operator==(const ViewsMsg&, const ViewsMsg&) = default;
 };
 
 /// One cluster's splice window inside a delta push: the pushed view's
@@ -269,9 +267,8 @@ struct ResumeAckMsg {
 /// The daemon's metrics snapshot. Counters and gauges are explicit
 /// (id, value) pairs; version 4 appends the histogram catalogue as
 /// (id, count, sum, sparse ascending bucket vector) records. Decoding
-/// ignores unknown ids and out-of-range bucket indices — a newer peer's
-/// extra catalogue entries read cleanly — and tolerates a payload that
-/// ends after the gauges (the version-3 shape).
+/// ignores unknown ids and out-of-range bucket indices, so a same-version
+/// build that appended catalogue entries reads cleanly.
 struct StatsReplyMsg {
   metrics::Snapshot stats;
   friend bool operator==(const StatsReplyMsg&, const StatsReplyMsg&) = default;
@@ -330,7 +327,7 @@ class Reader {
   bool ok_ = true;
 };
 
-// --- profile serialization (shared by ViewsMsg and tests/benchmarks) --------
+// --- profile serialization (shared by VIEWS_DELTA and tests/benchmarks) -----
 
 void writeView(Writer& w, const View& view);
 /// Strict decode: canonical profiles, strictly increasing cluster ids;
@@ -344,11 +341,9 @@ void writeView(Writer& w, const View& view);
 // --- frame encoding ---------------------------------------------------------
 
 // Each overload appends one complete frame (header + payload) to `out`.
-// The VIEWS/STARTED field-wise variants encode the same frames as their
-// message-struct overloads without materializing a message first — the
-// daemon's per-push hot path (views can be ~128 KiB of profiles).
-void encodeViews(std::vector<std::uint8_t>& out, const View& nonPreemptive,
-                 const View& preemptive);
+// The VIEWS_DELTA/STARTED field-wise variants encode the same frames as
+// their message-struct overloads without materializing a message first —
+// the daemon's per-push hot path (views can be ~128 KiB of profiles).
 /// A full sequenced push (VIEWS_DELTA with the full flag) — the delta
 /// stream's sync point.
 void encodeViewsFull(std::vector<std::uint8_t>& out, std::uint32_t seq,
@@ -366,7 +361,6 @@ void encode(std::vector<std::uint8_t>& out, const RequestMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const RequestAckMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const DoneMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const GoodbyeMsg& msg);
-void encode(std::vector<std::uint8_t>& out, const ViewsMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const StartedMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const ExpiredMsg& msg);
 void encode(std::vector<std::uint8_t>& out, const EndedMsg& msg);
@@ -395,7 +389,6 @@ void encode(std::vector<std::uint8_t>& out, const ViewsAckMsg& msg);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload, DoneMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,
                           GoodbyeMsg& out);
-[[nodiscard]] bool decode(std::span<const std::uint8_t> payload, ViewsMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,
                           StartedMsg& out);
 [[nodiscard]] bool decode(std::span<const std::uint8_t> payload,

@@ -169,6 +169,17 @@ TEST(Cli, UnknownOptionIsError) {
   EXPECT_NE(r.error.find("--bogus"), std::string::npos);
 }
 
+TEST(Cli, RemovedServingSwitchesAreUnknown) {
+  // The event loop (epoll) and the view push (VIEWS_DELTA) have one form
+  // each; their former switches are rejected like any unknown option.
+  const ParseResult backend = parse({"--io-backend", "epoll"});
+  EXPECT_EQ(backend.status, ParseStatus::kError);
+  EXPECT_EQ(backend.error, "unknown or incomplete option: --io-backend");
+  const ParseResult deltas = parse({"--delta-views", "on"});
+  EXPECT_EQ(deltas.status, ParseStatus::kError);
+  EXPECT_EQ(deltas.error, "unknown or incomplete option: --delta-views");
+}
+
 TEST(Cli, InvalidOvercommitIsError) {
   EXPECT_EQ(parse({"--overcommit", "0"}).status, ParseStatus::kError);
   EXPECT_EQ(parse({"--amr-steps", "0"}).status, ParseStatus::kError);
@@ -265,8 +276,8 @@ TEST(Cli, UsageMentionsEveryOption) {
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
         "--threads", "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
-        "--journal", "--idle-deadline", "--resume-grace", "--io-backend",
-        "--delta-views", "--connections", "--probe",
+        "--journal", "--idle-deadline", "--resume-grace", "--connections",
+        "--probe",
         "--stats-all", "--trace-out", "--slow-pass-ms", "--metrics-listen",
         "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;

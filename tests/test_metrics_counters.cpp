@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "coorm/net/client.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/io_executor.hpp"
 #include "coorm/rms/server.hpp"
 #include "coorm/sim/engine.hpp"
 #include "net_harness.hpp"
@@ -190,7 +190,8 @@ TEST(MetricsLoopback, StatsReplyPinsExactWireCounters) {
   nettest::DaemonFixture daemon(quietConfig(), 64);
   metrics::reset();  // daemon is up and idle; the script owns every frame
 
-  net::PollExecutor executor;
+  auto executorPtr = net::makeIoExecutor();
+  net::IoExecutor& executor = *executorPtr;
   net::RmsClient client(
       executor,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
@@ -225,7 +226,8 @@ TEST(MetricsLoopback, SessionsAndCleanGoodbyesAreNotDeadPeers) {
   nettest::DaemonFixture daemon(quietConfig(), 64);
   metrics::reset();
 
-  net::PollExecutor executor;
+  auto executorPtr = net::makeIoExecutor();
+  net::IoExecutor& executor = *executorPtr;
   NullEndpoint endpoint;
   net::RmsClient app(
       executor,
@@ -269,7 +271,8 @@ TEST(MetricsLoopback, AbruptCloseCountsAsDeadPeer) {
             0);
   ::close(fd);
 
-  net::PollExecutor executor;
+  auto executorPtr = net::makeIoExecutor();
+  net::IoExecutor& executor = *executorPtr;
   net::RmsClient statsq(
       executor,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},
@@ -321,11 +324,11 @@ struct ChurnScenario {
 TEST(MetricsLoopback, DeltaCoalescingAndEpollCountersEngage) {
   Server::Config config;
   config.reschedInterval = msec(100);
-  nettest::DaemonFixture daemon(config, 64, IoBackend::kEpoll);
+  nettest::DaemonFixture daemon(config, 64);
   metrics::reset();
 
   ChurnScenario churn;
-  auto executor = net::makeIoExecutor(IoBackend::kEpoll);
+  auto executor = net::makeIoExecutor();
   nettest::LoopbackTransport loopback(*executor, daemon.port());
   churn.wire(loopback);
   ASSERT_TRUE(nettest::runLoopback(*executor, churn.scenario))
@@ -333,7 +336,8 @@ TEST(MetricsLoopback, DeltaCoalescingAndEpollCountersEngage) {
 
   // Assert through STATS — the same export an operator's `coorm_rmsd
   // --stats` reads — so the new counters are pinned end to end.
-  net::PollExecutor statsLoop;
+  auto statsLoopPtr = net::makeIoExecutor();
+  net::IoExecutor& statsLoop = *statsLoopPtr;
   net::RmsClient statsq(
       statsLoop,
       net::RmsClient::Config{net::Endpoint{"127.0.0.1", daemon.port()},

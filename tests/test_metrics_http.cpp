@@ -48,7 +48,7 @@ TEST(MetricsHttp, ServesPrometheusTextOnMetricsPath) {
   metrics::record(metrics::Histo::kPassLatencyUs, 120);
   metrics::record(metrics::Histo::kPassLatencyUs, 450);
 
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
+  auto executor = net::makeIoExecutor();
   net::MetricsHttpServer server(*executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;
@@ -72,7 +72,7 @@ TEST(MetricsHttp, ServesPrometheusTextOnMetricsPath) {
 }
 
 TEST(MetricsHttp, UnknownPathIs404AndBadRequestIs400) {
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
+  auto executor = net::makeIoExecutor();
   net::MetricsHttpServer server(*executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;
@@ -88,7 +88,7 @@ TEST(MetricsHttp, UnknownPathIs404AndBadRequestIs400) {
 }
 
 TEST(MetricsHttp, ServesSequentialScrapes) {
-  auto executor = net::makeIoExecutor(IoBackend::kPoll);
+  auto executor = net::makeIoExecutor();
   net::MetricsHttpServer server(*executor);
   std::string error;
   ASSERT_TRUE(server.start(net::Endpoint{"127.0.0.1", 0}, error)) << error;

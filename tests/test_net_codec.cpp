@@ -80,6 +80,17 @@ std::vector<ClusterDelta> deltasBetween(const View& prev, const View& next) {
   return out;
 }
 
+/// A full-flag VIEWS_DELTA: the push every session's stream starts from,
+/// carrying the whole view pair.
+ViewsDeltaMsg fullPush(View nonPreemptive, View preemptive,
+                       std::uint32_t seq = 1) {
+  ViewsDeltaMsg msg;
+  msg.seq = seq;
+  msg.nonPreemptive = std::move(nonPreemptive);
+  msg.preemptive = std::move(preemptive);
+  return msg;
+}
+
 std::vector<NodeId> randomNodeIds(Rng& rng) {
   std::vector<NodeId> ids;
   const int count = static_cast<int>(rng.uniformInt(0, 16));
@@ -157,7 +168,9 @@ TEST(WireCodec, RoundTripsEveryMessageType) {
     expectRoundTrip(bytes, GoodbyeMsg{});
     bytes.clear();
 
-    ViewsMsg views{randomView(rng), randomView(rng)};
+    const ViewsDeltaMsg views =
+        fullPush(randomView(rng), randomView(rng),
+                 static_cast<std::uint32_t>(rng.uniformInt(0, 1 << 30)));
     encode(bytes, views);
     expectRoundTrip(bytes, views);
     bytes.clear();
@@ -190,7 +203,7 @@ TEST(WireCodec, ViewProfilesWithSentinelTimesRoundTrip) {
   view.setCap(ClusterId{0},
               StepFunction::fromCanonical(std::vector<Segment>{
                   {0, 5}, {kTimeInf - 1, 3}, {kTimeInf, 0}}));
-  ViewsMsg msg{view, View{}};
+  const ViewsDeltaMsg msg = fullPush(view, View{});
   std::vector<std::uint8_t> bytes;
   encode(bytes, msg);
   expectRoundTrip(bytes, msg);
@@ -419,7 +432,7 @@ TEST(WireCodec, DeltaBitFlipsNeverCrashAndSurvivorsSpliceSafely) {
 TEST(WireCodec, FramesSurviveArbitraryChunking) {
   Rng rng(7);
   std::vector<std::uint8_t> stream;
-  ViewsMsg views{randomView(rng), randomView(rng)};
+  const ViewsDeltaMsg views = fullPush(randomView(rng), randomView(rng));
   StartedMsg started{RequestId{42}, randomNodeIds(rng)};
   encode(stream, views);
   encode(stream, started);
@@ -451,8 +464,7 @@ TEST(WireCodec, FramesSurviveArbitraryChunking) {
 TEST(WireCodec, TruncatedFramesAreNeverDelivered) {
   Rng rng(99);
   std::vector<std::uint8_t> bytes;
-  ViewsMsg views{randomView(rng), randomView(rng)};
-  encode(bytes, views);
+  encode(bytes, fullPush(randomView(rng), randomView(rng)));
 
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     FrameBuffer buffer;
@@ -470,7 +482,7 @@ TEST(WireCodec, TruncatedFramesAreNeverDelivered) {
   FrameView frame;
   ASSERT_EQ(buffer.next(frame), FrameBuffer::Next::kFrame);
   for (std::size_t cut = 0; cut < frame.payload.size(); ++cut) {
-    ViewsMsg out;
+    ViewsDeltaMsg out;
     EXPECT_FALSE(decode(frame.payload.first(cut), out));
   }
 }
@@ -516,6 +528,25 @@ TEST(WireCodec, OversizedAndCorruptHeadersAreRejected) {
   }
 }
 
+TEST(WireCodec, RetiredViewsTypeIsRejectedAtTheHeader) {
+  // 0x43 was the unsequenced VIEWS push of versions 1-4. A frame typed
+  // 0x43 is refused at the header even when its payload is a well-formed
+  // view pair.
+  EXPECT_FALSE(knownMsgType(0x43));
+  std::vector<std::uint8_t> bytes;
+  Writer w(bytes);
+  w.u16(kMagic);
+  w.u8(kProtocolVersion);
+  w.u8(0x43);
+  w.u32(4 + 4);
+  w.u32(0);  // empty non-preemptive view
+  w.u32(0);  // empty preemptive view
+  FrameBuffer buffer;
+  buffer.append(bytes);
+  FrameView frame;
+  EXPECT_EQ(buffer.next(frame), FrameBuffer::Next::kBad);
+}
+
 TEST(WireCodec, CountFieldsAreBoundedByPayload) {
   // A DONE frame whose node-id count field claims 2^31 entries but whose
   // payload holds none: the decoder must fail before allocating.
@@ -534,19 +565,21 @@ TEST(WireCodec, CountFieldsAreBoundedByPayload) {
   DoneMsg out;
   EXPECT_FALSE(decode(frame.payload, out));
 
-  // Same for a views push lying about its segment count.
+  // Same for a full views push lying about its segment count.
   bytes.clear();
   w.u16(kMagic);
   w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kViews));
-  w.u32(4 + 4 + 4);
+  w.u8(static_cast<std::uint8_t>(MsgType::kViewsDelta));
+  w.u32(4 + 1 + 4 + 4 + 4);
+  w.u32(1);            // seq
+  w.u8(1);             // full flag
   w.u32(1);            // one cluster
   w.i32(0);            // cluster id
   w.u32(0x40000000u);  // absurd segment count
   FrameBuffer buffer2;
   buffer2.append(bytes);
   ASSERT_EQ(buffer2.next(frame), FrameBuffer::Next::kFrame);
-  ViewsMsg viewsOut;
+  ViewsDeltaMsg viewsOut;
   EXPECT_FALSE(decode(frame.payload, viewsOut));
 }
 
@@ -557,9 +590,11 @@ TEST(WireCodec, NonCanonicalProfilesAreRejected) {
         Writer w(bytes);
         w.u16(kMagic);
         w.u8(kProtocolVersion);
-        w.u8(static_cast<std::uint8_t>(MsgType::kViews));
+        w.u8(static_cast<std::uint8_t>(MsgType::kViewsDelta));
         const std::size_t lengthAt = bytes.size();
         w.u32(0);
+        w.u32(1);  // seq
+        w.u8(1);   // full flag
         w.u32(1);  // one cluster in the np view
         w.i32(0);
         w.u32(static_cast<std::uint32_t>(segments.size()));
@@ -578,7 +613,7 @@ TEST(WireCodec, NonCanonicalProfilesAreRejected) {
     buffer.append(bytes);
     FrameView frame;
     ASSERT_EQ(buffer.next(frame), FrameBuffer::Next::kFrame);
-    ViewsMsg out;
+    ViewsDeltaMsg out;
     EXPECT_FALSE(decode(frame.payload, out));
   };
 
@@ -593,7 +628,7 @@ TEST(WireCodec, BitFlipsNeverCrashTheDecoder) {
   Rng rng(4242);
   for (int iteration = 0; iteration < 400; ++iteration) {
     std::vector<std::uint8_t> bytes;
-    ViewsMsg views{randomView(rng), randomView(rng)};
+    const ViewsDeltaMsg views = fullPush(randomView(rng), randomView(rng));
     DoneMsg done{RequestId{3}, randomNodeIds(rng)};
     encode(bytes, views);
     encode(bytes, done);
@@ -609,10 +644,10 @@ TEST(WireCodec, BitFlipsNeverCrashTheDecoder) {
     // acceptable except a crash/over-read, which the sanitizers catch.
     FrameBuffer::Next next;
     while ((next = buffer.next(frame)) == FrameBuffer::Next::kFrame) {
-      ViewsMsg viewsOut;
+      ViewsDeltaMsg viewsOut;
       DoneMsg doneOut;
       switch (frame.type) {
-        case MsgType::kViews:
+        case MsgType::kViewsDelta:
           (void)decode(frame.payload, viewsOut);
           break;
         case MsgType::kDone:
@@ -666,9 +701,10 @@ TEST(WireCodec, StatsReplyRoundTripsTheHistogramCatalogue) {
   expectRoundTrip(bytes, sent);
 }
 
-TEST(WireCodec, StatsReplyAcceptsVersion3Shape) {
-  // A version-3 peer's payload ends after the gauges; the histograms must
-  // decode as empty rather than failing the frame.
+TEST(WireCodec, StatsReplyRejectsTheVersion3Shape) {
+  // A payload that ends after the gauges was the version-3 shape. Frames
+  // of another version are refused at the header, so no such payload can
+  // be legitimate here: it is a truncation like any other.
   std::vector<std::uint8_t> payload;
   Writer w(payload);
   w.u32(1);
@@ -678,37 +714,21 @@ TEST(WireCodec, StatsReplyAcceptsVersion3Shape) {
   w.u16(1);
   w.i64(-3);
   StatsReplyMsg out;
-  ASSERT_TRUE(decode(payload, out));
-  EXPECT_EQ(out.stats.events[0], 77u);
-  EXPECT_EQ(out.stats.gauges[1], -3);
-  for (const metrics::HistogramData& h : out.stats.histos) {
-    EXPECT_EQ(h.count, 0u);
-    EXPECT_EQ(h.totalInBuckets(), 0u);
-  }
+  EXPECT_FALSE(decode(payload, out));
 }
 
-TEST(WireCodec, StatsReplyTruncationsAreRejectedExceptTheV3Boundary) {
+TEST(WireCodec, StatsReplyTruncationsAreAllRejected) {
   std::vector<std::uint8_t> payload;
   {
     std::vector<std::uint8_t> framed;
     encode(framed, StatsReplyMsg{richSnapshot()});
     payload.assign(framed.begin() + 8, framed.end());  // strip frame header
   }
-  // The id/value pair size on the wire (u16 + u64).
-  constexpr std::size_t kPair = 10;
-  const std::size_t gaugesEnd =
-      4 + metrics::kEventCount * kPair + 4 + metrics::kGaugeCount * kPair;
   for (std::size_t cut = 0; cut < payload.size(); ++cut) {
     StatsReplyMsg out;
-    const bool decoded =
-        decode(std::span<const std::uint8_t>(payload.data(), cut), out);
-    if (cut == gaugesEnd) {
-      // The one legitimate strict prefix: exactly the version-3 shape.
-      EXPECT_TRUE(decoded);
-      EXPECT_EQ(out.stats.histos[0].totalInBuckets(), 0u);
-    } else {
-      EXPECT_FALSE(decoded) << "cut at " << cut;
-    }
+    EXPECT_FALSE(
+        decode(std::span<const std::uint8_t>(payload.data(), cut), out))
+        << "cut at " << cut;
   }
 }
 
@@ -811,7 +831,7 @@ TEST(FrameBuffer, DribbledFramesCompactAmortizedNotPerByte) {
   View big;
   big.setCap(ClusterId{0}, StepFunction::fromCanonical(std::move(segments)));
   std::vector<std::uint8_t> stream;
-  encode(stream, ViewsMsg{big, View{}});
+  encode(stream, fullPush(big, View{}));
   const std::size_t bigFrame = stream.size();
   ASSERT_GT(bigFrame, 8192u);  // large enough to cross the 4 KiB threshold
   for (int i = 0; i < 50; ++i) encode(stream, ExpiredMsg{RequestId{i}});
@@ -861,7 +881,7 @@ TEST(WireCodec, RandomBytesNeverCrashTheParser) {
     buffer.append(junk);
     FrameView frame;
     while (buffer.next(frame) == FrameBuffer::Next::kFrame) {
-      ViewsMsg out;
+      ViewsDeltaMsg out;
       (void)decode(frame.payload, out);
     }
   }

@@ -7,7 +7,9 @@
 // Each scenario is scripted once (reactive actors + externally-ordered
 // steps, tests/net_harness.hpp) and executed twice: on the discrete-event
 // Engine, and against a daemon thread over 127.0.0.1 with one RmsClient
-// per actor. The normalized traces are compared exactly.
+// per actor. The normalized traces are compared exactly. Daemon and
+// clients run the one serving path: the edge-triggered epoll loop, delta
+// view pushes and per-session write coalescing.
 //
 // Scenario design keeps the runs alignable: every externally-injected
 // action is gated on a pass-commit-observable event of some actor, so
@@ -161,10 +163,10 @@ TEST(NetDifferential, ChainShrinkTracesMatchInProcessServer) {
 
   ChainShrink remote;
   DaemonFixture daemon(chainShrinkConfig(), 16);
-  net::PollExecutor clientLoop;
-  LoopbackTransport loopback(clientLoop, daemon.port());
+  auto clientLoop = net::makeIoExecutor();
+  LoopbackTransport loopback(*clientLoop, daemon.port());
   remote.wire(loopback);
-  ASSERT_TRUE(runLoopback(clientLoop, remote.scenario))
+  ASSERT_TRUE(runLoopback(*clientLoop, remote.scenario))
       << "loopback run did not finish";
 
   EXPECT_FALSE(reference.worker.trace.empty());
@@ -188,10 +190,10 @@ TEST(NetDifferential, KillAfterViolationTracesMatchInProcessServer) {
 
   KillAfterViolation remote;
   DaemonFixture daemon(violationConfig(), 8);
-  net::PollExecutor clientLoop;
-  LoopbackTransport loopback(clientLoop, daemon.port());
+  auto clientLoop = net::makeIoExecutor();
+  LoopbackTransport loopback(*clientLoop, daemon.port());
   remote.wire(loopback);
-  ASSERT_TRUE(runLoopback(clientLoop, remote.scenario))
+  ASSERT_TRUE(runLoopback(*clientLoop, remote.scenario))
       << "loopback run did not finish";
 
   EXPECT_FALSE(reference.holder.trace.empty());
@@ -200,63 +202,6 @@ TEST(NetDifferential, KillAfterViolationTracesMatchInProcessServer) {
 
   EXPECT_TRUE(remote.holder.killed);
   // After the kill the claimant received the whole machine.
-  ASSERT_GE(remote.claimant.granted.size(), 1u);
-  EXPECT_EQ(remote.claimant.granted[0].size(), 8u);
-}
-
-// --- epoll backend (c100k serving path) -------------------------------------
-//
-// The same differential bar, daemon and clients on EpollExecutor: the
-// edge-triggered backend (plus the default delta pushes and write
-// coalescing it serves through) must be observationally identical to the
-// in-process serial server — same traces, same grants.
-
-TEST(NetDifferential, ChainShrinkTracesMatchUnderEpollBackend) {
-  ChainShrink reference;
-  Engine engine;
-  Server server(engine, Machine::single(16), chainShrinkConfig());
-  InProcessTransport direct(server);
-  reference.wire(direct);
-  ASSERT_TRUE(runInProcess(engine, reference.scenario))
-      << "in-process reference run did not finish";
-
-  ChainShrink remote;
-  DaemonFixture daemon(chainShrinkConfig(), 16, IoBackend::kEpoll);
-  auto clientLoop = net::makeIoExecutor(IoBackend::kEpoll);
-  LoopbackTransport loopback(*clientLoop, daemon.port());
-  remote.wire(loopback);
-  ASSERT_TRUE(runLoopback(*clientLoop, remote.scenario))
-      << "loopback run did not finish";
-
-  EXPECT_FALSE(reference.worker.trace.empty());
-  EXPECT_EQ(reference.worker.trace, remote.worker.trace);
-  EXPECT_EQ(reference.watcher.trace, remote.watcher.trace);
-  ASSERT_EQ(remote.worker.granted.size(), 3u);
-  EXPECT_EQ(remote.worker.granted[1].size(), 8u);
-  EXPECT_EQ(remote.worker.granted[2].size(), 4u);
-}
-
-TEST(NetDifferential, KillAfterViolationTracesMatchUnderEpollBackend) {
-  KillAfterViolation reference;
-  Engine engine;
-  Server server(engine, Machine::single(8), violationConfig());
-  InProcessTransport direct(server);
-  reference.wire(direct);
-  ASSERT_TRUE(runInProcess(engine, reference.scenario))
-      << "in-process reference run did not finish";
-
-  KillAfterViolation remote;
-  DaemonFixture daemon(violationConfig(), 8, IoBackend::kEpoll);
-  auto clientLoop = net::makeIoExecutor(IoBackend::kEpoll);
-  LoopbackTransport loopback(*clientLoop, daemon.port());
-  remote.wire(loopback);
-  ASSERT_TRUE(runLoopback(*clientLoop, remote.scenario))
-      << "loopback run did not finish";
-
-  EXPECT_FALSE(reference.holder.trace.empty());
-  EXPECT_EQ(reference.holder.trace, remote.holder.trace);
-  EXPECT_EQ(reference.claimant.trace, remote.claimant.trace);
-  EXPECT_TRUE(remote.holder.killed);
   ASSERT_GE(remote.claimant.granted.size(), 1u);
   EXPECT_EQ(remote.claimant.granted[0].size(), 8u);
 }
@@ -274,8 +219,8 @@ TEST(NetDifferential, KillAfterViolationTracesMatchUnderEpollBackend) {
 /// observers ever disagree they never converge and the wait times out.
 TEST(NetDifferential, DeltaSplicedViewsAreBitIdenticalToAFullPush) {
   ChainShrink chain;
-  DaemonFixture daemon(chainShrinkConfig(), 16, IoBackend::kEpoll);
-  auto clientLoop = net::makeIoExecutor(IoBackend::kEpoll);
+  DaemonFixture daemon(chainShrinkConfig(), 16);
+  auto clientLoop = net::makeIoExecutor();
   LoopbackTransport loopback(*clientLoop, daemon.port());
   chain.wire(loopback);
   // Keep the worker attached: the comparison below should see the rich

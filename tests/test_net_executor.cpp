@@ -1,36 +1,40 @@
 // IoExecutor: the real-time Executor contract the Server depends on —
 // monotonic now(), same-time callbacks in scheduling order, cancellation
 // without dispatch — plus fd watching (socketpair-driven) with unwatch
-// safety from inside callbacks. Every contract test runs against both
-// readiness backends (poll and epoll): the daemon must behave identically
-// under either, timer ordering included, because the differential suites
-// compare traces across them.
+// safety from inside callbacks, on the loop makeIoExecutor() builds (the
+// edge-triggered epoll loop).
 #include "coorm/common/metrics.hpp"
 #include "coorm/net/epoll_executor.hpp"
 #include "coorm/net/io_executor.hpp"
-#include "coorm/net/poll_executor.hpp"
+#include "coorm/net/socket.hpp"
+#include "coorm/net/wire.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <exception>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace coorm::net {
 namespace {
 
-class IoExecutorContract : public ::testing::TestWithParam<IoBackend> {
+class IoExecutorContract : public ::testing::Test {
  protected:
-  IoExecutorContract() : executor_(makeIoExecutor(GetParam())) {}
+  IoExecutorContract() : executor_(makeIoExecutor()) {}
   IoExecutor& executor() { return *executor_; }
 
  private:
   std::unique_ptr<IoExecutor> executor_;
 };
 
-TEST_P(IoExecutorContract, NowIsMonotonicAndStartsNearZero) {
+TEST_F(IoExecutorContract, NowIsMonotonicAndStartsNearZero) {
   const Time first = executor().now();
   EXPECT_GE(first, 0);
   EXPECT_LT(first, sec(5));
@@ -42,7 +46,7 @@ TEST_P(IoExecutorContract, NowIsMonotonicAndStartsNearZero) {
   }
 }
 
-TEST_P(IoExecutorContract, TimersFireInTimeThenSchedulingOrder) {
+TEST_F(IoExecutorContract, TimersFireInTimeThenSchedulingOrder) {
   std::vector<std::string> order;
   const Time base = executor().now();
   executor().schedule(base + 30, [&] { order.push_back("late"); });
@@ -55,7 +59,7 @@ TEST_P(IoExecutorContract, TimersFireInTimeThenSchedulingOrder) {
             (std::vector<std::string>{"now", "early-a", "early-b", "late"}));
 }
 
-TEST_P(IoExecutorContract, SameTimeChainsRunInSchedulingOrder) {
+TEST_F(IoExecutorContract, SameTimeChainsRunInSchedulingOrder) {
   // A same-time event scheduled first runs before events that a same-time
   // callback schedules afterwards — the order the simulation engine uses,
   // so the Server's notifications come out the same on either executor.
@@ -70,7 +74,7 @@ TEST_P(IoExecutorContract, SameTimeChainsRunInSchedulingOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(IoExecutorContract, CancelledEventsAreSkipped) {
+TEST_F(IoExecutorContract, CancelledEventsAreSkipped) {
   int fired = 0;
   const EventHandle handle =
       executor().schedule(executor().now(), [&] { ++fired; });
@@ -80,14 +84,14 @@ TEST_P(IoExecutorContract, CancelledEventsAreSkipped) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST_P(IoExecutorContract, PastDeadlinesAreClampedNotRejected) {
+TEST_F(IoExecutorContract, PastDeadlinesAreClampedNotRejected) {
   bool fired = false;
   executor().schedule(executor().now() - 1000, [&] { fired = true; });
   executor().runOne(msec(20));
   EXPECT_TRUE(fired);
 }
 
-TEST_P(IoExecutorContract, WatchesReadabilityOnASocketPair) {
+TEST_F(IoExecutorContract, WatchesReadabilityOnASocketPair) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::string received;
@@ -111,7 +115,7 @@ TEST_P(IoExecutorContract, WatchesReadabilityOnASocketPair) {
   ::close(fds[1]);
 }
 
-TEST_P(IoExecutorContract, WatchAfterDataArrivedStillFires) {
+TEST_F(IoExecutorContract, WatchAfterDataArrivedStillFires) {
   // The edge-triggered pitfall: data is already buffered when the watch is
   // registered (the daemon accepts a socket whose HELLO already landed).
   // EPOLL_CTL_ADD delivers an edge for already-ready fds, and poll is
@@ -134,7 +138,7 @@ TEST_P(IoExecutorContract, WatchAfterDataArrivedStillFires) {
   ::close(fds[1]);
 }
 
-TEST_P(IoExecutorContract, UpdateEventsArmsWritableEdge) {
+TEST_F(IoExecutorContract, UpdateEventsArmsWritableEdge) {
   // The flush path's POLLOUT re-arm: switching interest to kWritable on an
   // already-writable socket must deliver an edge (EPOLL_CTL_MOD re-arms).
   int fds[2];
@@ -157,7 +161,7 @@ TEST_P(IoExecutorContract, UpdateEventsArmsWritableEdge) {
   ::close(fds[1]);
 }
 
-TEST_P(IoExecutorContract, UnwatchFromInsideTheCallbackIsSafe) {
+TEST_F(IoExecutorContract, UnwatchFromInsideTheCallbackIsSafe) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   int calls = 0;
@@ -175,7 +179,7 @@ TEST_P(IoExecutorContract, UnwatchFromInsideTheCallbackIsSafe) {
   ::close(fds[1]);
 }
 
-TEST_P(IoExecutorContract, ErrorEventsAreReportedOnPeerClose) {
+TEST_F(IoExecutorContract, ErrorEventsAreReportedOnPeerClose) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   bool flagged = false;
@@ -191,7 +195,7 @@ TEST_P(IoExecutorContract, ErrorEventsAreReportedOnPeerClose) {
   ::close(fds[0]);
 }
 
-TEST_P(IoExecutorContract, RunStopsWhenNothingRemains) {
+TEST_F(IoExecutorContract, RunStopsWhenNothingRemains) {
   int fired = 0;
   executor().after(10, [&] { ++fired; });
   executor().after(20, [&] { ++fired; });
@@ -199,28 +203,7 @@ TEST_P(IoExecutorContract, RunStopsWhenNothingRemains) {
   EXPECT_EQ(fired, 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, IoExecutorContract,
-                         ::testing::Values(IoBackend::kPoll,
-                                           IoBackend::kEpoll),
-                         [](const auto& backendInfo) {
-                           return std::string(toString(backendInfo.param));
-                         });
-
-TEST(MakeIoExecutor, EpollSelectedWhereAvailable) {
-  auto executor = makeIoExecutor(IoBackend::kEpoll);
-  ASSERT_NE(executor, nullptr);
-  if (EpollExecutor::available()) {
-    EXPECT_NE(dynamic_cast<EpollExecutor*>(executor.get()), nullptr);
-  } else {
-    EXPECT_NE(dynamic_cast<PollExecutor*>(executor.get()), nullptr);
-  }
-  EXPECT_NE(dynamic_cast<PollExecutor*>(
-                makeIoExecutor(IoBackend::kPoll).get()),
-            nullptr);
-}
-
 TEST(EpollExecutor, CountsWakeupsInMetrics) {
-  if (!EpollExecutor::available()) GTEST_SKIP() << "no epoll here";
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   EpollExecutor executor;
@@ -238,6 +221,68 @@ TEST(EpollExecutor, CountsWakeupsInMetrics) {
   executor.unwatch(fds[0]);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// Edge-triggered readiness reports a peer's last bytes and its FIN as one
+// edge when both arrive before the loop wakes; nothing fires after that.
+// drainReadable must therefore read through to the EOF, or the closed
+// peer is never noticed (a daemon would keep its session forever).
+TEST(EpollExecutor, DrainSeesTheEofBehindThePeersLastBytes) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  EpollExecutor executor;
+  FrameBuffer inbound;
+  std::vector<DrainStatus> drains;
+  executor.watch(fds[0], IoExecutor::kReadable, [&](short) {
+    drains.push_back(drainReadable(fds[0], inbound));
+  });
+  ASSERT_EQ(::write(fds[1], "tail", 4), 4);
+  ::close(fds[1]);
+  for (int i = 0; i < 20; ++i) executor.runOne(msec(10));
+  EXPECT_EQ(inbound.buffered(), 4u);
+  ASSERT_FALSE(drains.empty());
+  EXPECT_EQ(drains.back(), DrainStatus::kClosed);
+  executor.unwatch(fds[0]);
+  ::close(fds[0]);
+}
+
+// A process at its descriptor limit cannot get an epoll instance; the loop
+// factory reports errno as std::system_error instead of aborting, so the
+// tools can print it and exit 1. Only this test process's own soft
+// RLIMIT_NOFILE is lowered — to the lowest free descriptor, so every slot
+// below the limit is taken — and it is restored before the exception is
+// inspected.
+TEST(EpollExecutor, CreateAtTheFdLimitThrowsSystemError) {
+  // UBSan's vptr check probes memory through a pipe the first time it sees
+  // a type, which fails with no descriptor free. Let it see system_error
+  // while descriptors are still available.
+  (void)std::system_error(EMFILE, std::generic_category(), "warm-up");
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowestFree = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowestFree, 0);
+  ::close(lowestFree);
+
+  rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowestFree);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::exception_ptr thrown;
+  try {
+    (void)makeIoExecutor();
+  } catch (...) {
+    thrown = std::current_exception();
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+  ASSERT_TRUE(thrown) << "epoll_create1 succeeded at the limit";
+  try {
+    std::rethrow_exception(thrown);
+  } catch (const std::system_error& e) {
+    EXPECT_EQ(e.code().value(), EMFILE);
+  } catch (...) {
+    ADD_FAILURE() << "not a std::system_error";
+  }
+  EXPECT_NE(makeIoExecutor(), nullptr);  // the restored limit has room
 }
 
 }  // namespace

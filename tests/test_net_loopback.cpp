@@ -26,7 +26,7 @@ Server::Config quickConfig() {
 
 /// Pumps the client loop until `pred` holds (or the wall deadline).
 template <typename Pred>
-bool pumpUntil(net::PollExecutor& executor, Pred pred, Time timeout = sec(10)) {
+bool pumpUntil(net::IoExecutor& executor, Pred pred, Time timeout = sec(10)) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout);
   while (!pred()) {
@@ -38,7 +38,8 @@ bool pumpUntil(net::PollExecutor& executor, Pred pred, Time timeout = sec(10)) {
 
 TEST(NetLoopback, ConnectRequestDoneDisconnect) {
   DaemonFixture daemon(quickConfig(), 32);
-  net::PollExecutor loop;
+  auto loopPtr = net::makeIoExecutor();
+  net::IoExecutor& loop = *loopPtr;
   net::RmsClient client(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "basic"});
   ScriptApp app;
@@ -70,7 +71,8 @@ TEST(NetLoopback, ConnectRequestDoneDisconnect) {
 
 TEST(NetLoopback, InvalidRequestSpecsAreAckedInvalidNotFatal) {
   DaemonFixture daemon(quickConfig(), 32);
-  net::PollExecutor loop;
+  auto loopPtr = net::makeIoExecutor();
+  net::IoExecutor& loop = *loopPtr;
   net::RmsClient client(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "bad-specs"});
   ScriptApp app;
@@ -98,7 +100,8 @@ TEST(NetLoopback, InvalidRequestSpecsAreAckedInvalidNotFatal) {
 
 TEST(NetLoopback, DeadPeerCleanupFreesResourcesForOthers) {
   DaemonFixture daemon(quickConfig(), 8);
-  net::PollExecutor loop;
+  auto loopPtr = net::makeIoExecutor();
+  net::IoExecutor& loop = *loopPtr;
 
   auto hog = std::make_unique<net::RmsClient>(
       loop, net::RmsClient::Config{{"127.0.0.1", daemon.port()}, "hog"});
@@ -232,7 +235,8 @@ TEST(NetLoopback, ProtocolErrorsDropTheConnection) {
 
 TEST(NetLoopback, ManyClientsInterleaveCleanly) {
   DaemonFixture daemon(quickConfig(), 64);
-  net::PollExecutor loop;
+  auto loopPtr = net::makeIoExecutor();
+  net::IoExecutor& loop = *loopPtr;
 
   constexpr int kClients = 6;
   std::vector<std::unique_ptr<net::RmsClient>> clients;
@@ -269,7 +273,7 @@ TEST(NetLoopback, ManyClientsInterleaveCleanly) {
 
 // --- reply flush vs a due pass ----------------------------------------------
 
-class ReplyFlush : public ::testing::TestWithParam<IoBackend> {
+class ReplyFlush : public ::testing::Test {
  protected:
   void TearDown() override {
     trace::disable();
@@ -294,8 +298,8 @@ trace::SpanEvent firstSpan(const std::vector<trace::SpanEvent>& events,
 // a read burst's replies as soon as the burst is handled, instead of
 // leaving them to the zero-delay flush event that dispatches behind the
 // (earlier-timestamped) pass.
-TEST_P(ReplyFlush, RequestAckLeavesBeforeADuePass) {
-  auto loop = net::makeIoExecutor(GetParam());
+TEST_F(ReplyFlush, RequestAckLeavesBeforeADuePass) {
+  auto loop = net::makeIoExecutor();
   Server::Config config;
   config.reschedInterval = msec(50);
   Server server(*loop, Machine::single(16), config);
@@ -358,13 +362,6 @@ TEST_P(ReplyFlush, RequestAckLeavesBeforeADuePass) {
   }
   EXPECT_TRUE(acked);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReplyFlush,
-                         ::testing::Values(IoBackend::kPoll,
-                                           IoBackend::kEpoll),
-                         [](const auto& backendInfo) {
-                           return std::string(net::toString(backendInfo.param));
-                         });
 
 }  // namespace
 }  // namespace coorm::nettest

@@ -39,7 +39,7 @@ struct Options {
   int syntheticJobs = 0;
   std::string swfPath;
   /// The shared runtime-tuning knobs (threads, resched interval, strict
-  /// equi-partitioning, io backend), parsed once here and projected into
+  /// equi-partitioning), parsed once here and projected into
   /// Server::Config / SchedulerOptions by the drivers.
   RuntimeOptions runtime;
   Time until = hours(24);
@@ -64,9 +64,6 @@ struct Options {
   /// coorm_rmsd: how long a vanished client's session stays resumable
   /// before the reaper disconnects it.
   Time resumeGrace = sec(30);
-  /// coorm_rmsd: sequenced VIEWS_DELTA pushes (off = whole VIEWS frame
-  /// per pass, the v2 behaviour — differential-test fodder).
-  bool deltaViews = true;
   /// coorm_loadgen: concurrent AppLink sessions to hold open (ramped up
   /// in batches so the daemon's accept loop is never the bottleneck).
   int connections = 1;

@@ -27,6 +27,7 @@
 #include <csignal>
 #include <iostream>
 #include <memory>
+#include <system_error>
 #include <vector>
 
 #include "cli_options.hpp"
@@ -90,7 +91,14 @@ int main(int argc, char** argv) {
   // RLIMIT_NOFILE (often 1024).
   net::raiseFdLimit();
   if (!options.traceOut.empty()) trace::enable();
-  auto executorPtr = net::makeIoExecutor(options.runtime.ioBackend);
+  std::unique_ptr<net::IoExecutor> executorPtr;
+  try {
+    executorPtr = net::makeIoExecutor();
+  } catch (const std::system_error& error) {
+    std::cerr << "coorm_loadgen: cannot create the event loop: "
+              << error.what() << "\n";
+    return 1;
+  }
   net::IoExecutor& executor = *executorPtr;
   Rng rng(options.seed);
 

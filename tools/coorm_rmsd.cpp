@@ -15,6 +15,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      auto executor = net::makeIoExecutor(options.runtime.ioBackend);
+      auto executor = net::makeIoExecutor();
       net::RmsClient client(
           *executor, net::RmsClient::Config{*options.connect, "statsq"});
       client.dial();
@@ -129,7 +130,14 @@ int main(int argc, char** argv) {
   // C100k posture: lift RLIMIT_NOFILE to its hard cap before the listener
   // exists, so accept() never starts failing mid-ramp.
   net::raiseFdLimit();
-  auto executorPtr = net::makeIoExecutor(options.runtime.ioBackend);
+  std::unique_ptr<net::IoExecutor> executorPtr;
+  try {
+    executorPtr = net::makeIoExecutor();
+  } catch (const std::system_error& error) {
+    std::cerr << "coorm_rmsd: cannot create the event loop: " << error.what()
+              << "\n";
+    return 1;
+  }
   net::IoExecutor& executor = *executorPtr;
   // Declared before the Server so the journal outlives every Server write.
   std::unique_ptr<rms::Journal> journal;
@@ -166,7 +174,6 @@ int main(int argc, char** argv) {
     net::Daemon::Config daemonConfig{*options.listen};
     daemonConfig.idleDeadline = options.idleDeadline;
     daemonConfig.resumeGrace = options.resumeGrace;
-    daemonConfig.deltaViews = options.deltaViews;
     net::Daemon daemon(executor, server, daemonConfig);
     net::MetricsHttpServer metricsHttp(executor);
     if (options.metricsListen) {
@@ -182,9 +189,7 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
     std::cout << "coorm_rmsd: serving " << options.nodes << " nodes on "
-              << options.listen->host << ":" << daemon.port() << " ("
-              << net::toString(options.runtime.ioBackend) << " backend)"
-              << std::endl;
+              << options.listen->host << ":" << daemon.port() << std::endl;
 
     while (g_stop == 0) executor.runOne(msec(200));
 
