@@ -68,7 +68,7 @@ void BM_JournalAppend(benchmark::State& state) {
       benchmark::Counter::kIsRate);
   std::remove(path.c_str());
 }
-BENCHMARK(BM_JournalAppend)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_JournalAppend)->Arg(1)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_JournalReplay(benchmark::State& state) {
   const int records = static_cast<int>(state.range(0));

@@ -58,7 +58,7 @@ void BM_WireCodec(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WireCodec)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_WireCodec)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)->UseRealTime();
 
 void BM_WireCodecSmall(benchmark::State& state) {
   RequestMsg request;
@@ -87,7 +87,7 @@ void BM_WireCodecSmall(benchmark::State& state) {
       benchmark::Counter(2.0 * static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_WireCodecSmall);
+BENCHMARK(BM_WireCodecSmall)->UseRealTime();
 
 }  // namespace
 }  // namespace coorm::net

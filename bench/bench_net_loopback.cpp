@@ -96,6 +96,7 @@ void BM_LoopbackDaemon(benchmark::State& state) {
   for (auto& client : clients) client->disconnect();
 }
 BENCHMARK(BM_LoopbackDaemon)->Arg(1)->Arg(4)->Arg(16)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

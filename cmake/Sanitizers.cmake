@@ -6,8 +6,8 @@
 # COORM_SANITIZE values:
 #   OFF               no instrumentation (default)
 #   ON | address      AddressSanitizer + UBSan
-#   thread            ThreadSanitizer (the `tsan` preset; races in the
-#                     scheduler's worker-pool fan-out)
+#   thread            ThreadSanitizer (the `tsan` preset; races between
+#                     the daemon thread, its clients and the counters)
 
 add_library(coorm_sanitizers INTERFACE)
 

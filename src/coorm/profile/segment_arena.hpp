@@ -16,12 +16,14 @@
 //    (metrics: arena_hits vs arena_slow_path).
 //
 // Blocks are plain anonymous heap memory, not owned by the arena that
-// issued them: a store may be created on one thread and destroyed on
-// another (worker-pool fan-out) — the block simply joins the destroying
-// thread's free list. ArenaScope lets a long-lived owner (the scheduler)
-// pin its own arena as the calling thread's current one for a pass, so
-// pass-scoped scratch recycles within the pass owner instead of the
-// thread default.
+// issued them: a view built during a scheduling pass (from the scheduler's
+// arena) is routinely kept and destroyed after the pass, and its block
+// simply joins the free list of whichever arena is current where it is
+// released. The same would hold across threads, but a pass runs on one
+// thread, so nothing hands a store to another one. ArenaScope lets a
+// long-lived owner (the scheduler) pin its own arena as the calling
+// thread's current one for a pass, so pass-scoped scratch recycles within
+// the pass owner instead of the thread default.
 #pragma once
 
 #include <compare>

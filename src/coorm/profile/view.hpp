@@ -13,7 +13,6 @@
 
 #include "coorm/common/ids.hpp"
 #include "coorm/common/time.hpp"
-#include "coorm/profile/profile_context.hpp"
 #include "coorm/profile/step_function.hpp"
 
 namespace coorm {
@@ -63,14 +62,10 @@ class View {
   ///   kSubtract:  *this - other_0 - other_1 - ...
   ///   kMax:       max(*this, other_0, other_1, ...)
   /// With `clampAtZero`, values are clamped to >= 0 during the same sweep
-  /// (equivalent to clampMin(0) on the finished result). The context's
-  /// pool fans the independent per-cluster sweeps of the N-ary path out
-  /// over its workers; its arena is installed on the calling thread for
-  /// the duration of the call (profile_context.hpp). The result (entries
-  /// and profiles) is bit-identical to the serial default-context pass.
+  /// (equivalent to clampMin(0) on the finished result).
   enum class Op { kAdd, kSubtract, kMax };
   View& accumulate(std::span<const View* const> others, Op op,
-                   bool clampAtZero = false, const ProfileContext& ctx = {});
+                   bool clampAtZero = false);
 
   /// Append the ids of clusters with a set profile to `out` (in this
   /// view's sorted order; no deduplication across calls).

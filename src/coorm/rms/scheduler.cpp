@@ -7,7 +7,6 @@
 #include "coorm/common/check.hpp"
 #include "coorm/common/metrics.hpp"
 #include "coorm/common/trace.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/profile/profile_diff.hpp"
 #include "coorm/profile/profile_sweep.hpp"
 
@@ -137,7 +136,7 @@ struct ClusterSeries {
 ///
 /// The cached profiles are plain owned StepFunctions/Views: segment blocks
 /// are anonymous heap memory (segment_arena.hpp), so holding them across
-/// passes and releasing them from any later thread is safe by design.
+/// passes and releasing them outside the pass's arena is safe by design.
 struct IncrementalState {
   /// False until a pass completes; cleared at pass start (exception
   /// safety) and by Scheduler::invalidateIncremental().
@@ -172,31 +171,21 @@ struct IncrementalState {
   std::vector<const View*> operands;
   std::vector<std::vector<std::uint32_t>> candidates;
   std::vector<ClusterId> newClusterIds;
-  /// Outcome of one cluster's Step 2 in the parallel phase, merged into
-  /// the per-app views serially afterwards, in cluster order.
-  struct ClusterDelta {
-    bool fullRecompute = false;
-    ClusterSeries fresh;  ///< this pass's occupants; all series if recomputed
-    std::vector<std::uint32_t> changedPresent;  ///< present slots respliced
-    bool idleChanged = false;
-    std::uint64_t rangesReused = 0;
-  };
-  std::vector<ClusterDelta> deltas;
+  /// One cluster's Step 2 output under construction: this pass's occupants,
+  /// and every series when the cluster is recomputed. Swapped with the
+  /// cluster's cache entry on a recompute, so the storage circulates and a
+  /// warm pass reuses it.
+  ClusterSeries fresh;
+  std::vector<DirtyRange> ranges;
+  std::vector<char> slotChanged;
 };
 
 Scheduler::Scheduler(Machine machine) : Scheduler(std::move(machine), Config{}) {}
 
 Scheduler::Scheduler(Machine machine, Config config)
-    : Scheduler(std::move(machine), config, SchedulerOptions{}) {}
-
-Scheduler::Scheduler(Machine machine, Config config, SchedulerOptions options)
     : machine_(std::move(machine)),
       config_(config),
-      inc_(std::make_unique<IncrementalState>()) {
-  if (options.threads > 1) {
-    pool_ = std::make_unique<WorkerPool>(options.threads);
-  }
-}
+      inc_(std::make_unique<IncrementalState>()) {}
 
 void Scheduler::invalidateIncremental() const { inc_->valid = false; }
 
@@ -508,8 +497,7 @@ void findOccupants(ClusterId cid, std::span<const View> occupation,
 /// Step 2 of eqSchedule for one cluster: one synchronized sweep over the
 /// merged breakpoints of `avail` and the occupants' (`out.present`, from
 /// findOccupants) occupation profiles decides what each application may
-/// have, filling the rest of `out`. Pure in everything but `out`, so
-/// clusters can run concurrently on a worker pool.
+/// have, filling the rest of `out`. Pure in everything but `out`.
 ///
 /// Absent applications have identically-zero demand: they neither
 /// contribute breakpoints nor influence the distribution beyond the
@@ -535,7 +523,7 @@ void eqScheduleCluster(ClusterId cid, const View& avail,
   Step2Values values(sweep, napps, strict, strictParticipants);
 
   // Arena-backed scratch: per breakpoint the emitted profiles reuse pooled
-  // blocks from the sweeping thread's arena instead of fresh vectors.
+  // blocks from the current arena instead of fresh vectors.
   std::vector<SegmentStore> outSegments(present.size());
   SegmentStore idleSegments;
   out.hasIdle = strict || present.size() < napps;
@@ -765,11 +753,9 @@ NodeCount countStrictParticipants(std::span<const AppSnapshot> apps,
 }  // namespace
 
 void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                           Time now, bool strict, const ProfileContext& ctx) {
+                           Time now, bool strict) {
   const std::size_t napps = apps.size();
   if (napps == 0) return;
-  WorkerPool* const pool = ctx.pool;
-  const ArenaScope arenaScope(ctx.arena);
 
   // Callers usually hand in an already-clamped view; only copy when the
   // clamp would actually change something.
@@ -782,57 +768,47 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 
   // Step 1: preliminary occupation views (started + newly fitted
   // requests). Each application's step touches only its own snapshot
-  // records and occupation slot (constraints never cross applications), so
-  // the applications fan out over the pool.
+  // records (constraints never cross applications).
   const std::uint64_t step1Start = metrics::nowNanos();
   std::vector<View> occupation(napps);
-  parallelFor(pool, napps, [&](std::size_t i) {
+  for (std::size_t i = 0; i < napps; ++i) {
     apps[i].preemptiveView = View{};
     occupation[i] = preliminaryOccupation(apps[i].preemptible(), avail, now);
-  });
+  }
 
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
   // Step 2: per piece-wise-constant interval, decide what each application
-  // may have. The sweep partitions cleanly by cluster; every cluster
-  // fills its own row of per-application series and the rows are merged
-  // below in cluster order, so any thread count produces byte-identical
-  // views.
+  // may have. The sweep partitions cleanly by cluster; each cluster's
+  // series land in the per-application views in cluster order.
   std::vector<ClusterId> clusterIds;
   step2Clusters(avail, occupation, clusterIds);
   std::vector<std::vector<std::uint32_t>> candidates;
   invertDemand(apps, clusterIds, candidates);
   const NodeCount participants = countStrictParticipants(apps, strict);
 
-  std::vector<std::vector<StepFunction>> perCluster(clusterIds.size());
-  parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
-    ClusterSeries cluster;
+  ClusterSeries cluster;
+  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
     findOccupants(clusterIds[c], occupation, candidates[c], strict,
                   cluster.present);
     eqScheduleCluster(clusterIds[c], avail, occupation, strict, participants,
                       cluster);
-    perCluster[c].reserve(napps);
-    cluster.forEachApp(napps, [&](std::size_t, StepFunction& series) {
+    cluster.forEachApp(napps, [&](std::size_t i, StepFunction& series) {
       // An occupant's own series has no other reader: move it.
-      perCluster[c].push_back(&series == &cluster.idle ? series
-                                                       : std::move(series));
+      apps[i].preemptiveView.setCap(
+          clusterIds[c],
+          &series == &cluster.idle ? series : std::move(series));
     });
-  });
-  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-    for (std::size_t i = 0; i < napps; ++i) {
-      apps[i].preemptiveView.setCap(clusterIds[c],
-                                    std::move(perCluster[c][i]));
-    }
   }
 
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
 
-  // Step 3: per application again, so it rides the pool too.
-  parallelFor(pool, napps, [&](std::size_t i) {
+  // Step 3: per application again.
+  for (std::size_t i = 0; i < napps; ++i) {
     reschedulePreemptible(apps[i].preemptible(), apps[i].preemptiveView, now);
-  });
+  }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 }
 
@@ -851,18 +827,15 @@ void Scheduler::eqSchedule(std::span<AppSnapshot> apps, const View& available,
 //    has no non-fixed records to place (empty occupation, no vnp change).
 // Such a lease-clean app's entire per-app derivation is served from the
 // cache; every other app runs the full arithmetic, in connection order,
-// which keeps results bit-identical at any thread count and cache state
-// (pinned by tests/test_scheduler_incremental.cpp against a test-only
-// reference built from the public building blocks).
+// which keeps results bit-identical whatever the cache state (pinned by
+// tests/test_scheduler_incremental.cpp against a test-only reference built
+// from the public building blocks).
 // ---------------------------------------------------------------------------
 void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
-  WorkerPool* const pool = pool_.get();
-  const ProfileContext ctx{&arena_, pool};
   // Install the scheduler's arena for the whole pass: every profile built
-  // on this thread below (occupation folds, fit scratch, view algebra)
-  // recycles the same pooled blocks pass over pass. Worker threads keep
-  // their own thread-default arenas.
-  const ArenaScope arenaScope(ctx.arena);
+  // below (occupation folds, fit scratch, view algebra) recycles the same
+  // pooled blocks pass over pass.
+  const ArenaScope arenaScope(&arena_);
   IncrementalState& inc = *inc_;
   const std::span<AppSnapshot> apps = snapshot.apps();
   const std::size_t napps = apps.size();
@@ -914,20 +887,19 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   // Subtract resources held by started pre-allocations / NP requests: one
   // N-ary sweep each, instead of a fold of binary subtractions. The
   // occupation views depend exclusively on captured request attributes, so
-  // an epoch-clean app's cached views are exact; the others fan out per
-  // application, and the N-ary folds per cluster inside View::accumulate.
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  // an epoch-clean app's cached views are exact.
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     inc.paOcc[i] = toView(apps[i].preAllocations());
     inc.npOcc[i] = toView(apps[i].nonPreemptible());
-  });
+  }
 
   View vnp = machineView();  // non-preemptible resources still available
   std::vector<const View*>& operands = inc.operands;
   operands.clear();
   operands.reserve(napps * 2);
   for (const View& occ : inc.paOcc) operands.push_back(&occ);
-  vnp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vnp.accumulate(operands, View::Op::kSubtract);
   // While vnpSame holds, vnp at the current loop position is bit-identical
   // to the cached pass's vnp at the same position, so a clean app's cached
   // non-preemptive view is exact without re-deriving it.
@@ -976,18 +948,18 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   operands.clear();
   for (const View& occ : inc.npOcc) operands.push_back(&occ);
   for (const View& occ : inc.npFitted) operands.push_back(&occ);
-  vp.accumulate(operands, View::Op::kSubtract, /*clampAtZero=*/false, ctx);
+  vp.accumulate(operands, View::Op::kSubtract);
   vp.clampMin(0);
 
   // eqSchedule Step 1 (dirty apps; an all-started app's occupation ignores
   // both `vp` and `now`). The pre-recompute views are kept aside as the
   // Step 2 diff baseline.
   const std::uint64_t step1Start = metrics::nowNanos();
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     inc.oldOccupation[i] = std::move(inc.occupation[i]);
     inc.occupation[i] = preliminaryOccupation(apps[i].preemptible(), vp, now);
-  });
+  }
   const std::uint64_t step2Start = metrics::nowNanos();
   trace::span("eq_step1", step1Start, step2Start);
 
@@ -1010,30 +982,37 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
     inc.pChanged.assign(napps, 1);
   }
   inc.clusters.resize(clusterIds.size());
-  inc.deltas.resize(clusterIds.size());
   invertDemand(apps, clusterIds, inc.candidates);
 
-  parallelFor(pool, clusterIds.size(), [&](std::size_t c) {
+  // One cluster at a time, in cluster order: sweep (or re-sweep) it, then
+  // fold what moved into the per-app preemptive views. A cluster's sweep
+  // never reads those views, so folding right after it is exact.
+  ClusterSeries& fresh = inc.fresh;
+  std::vector<DirtyRange>& ranges = inc.ranges;
+  std::vector<char>& slotChanged = inc.slotChanged;
+  std::uint64_t rangesReused = 0;
+  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
     const ClusterId cid = clusterIds[c];
     ClusterSeries& cc = inc.clusters[c];
-    IncrementalState::ClusterDelta& d = inc.deltas[c];
-    d.changedPresent.clear();
-    d.idleChanged = false;
-    d.rangesReused = 0;
 
     findOccupants(cid, inc.occupation, inc.candidates[c], strict,
-                  d.fresh.present);
-    d.fullRecompute = !step2Warm || d.fresh.present != cc.present;
-    if (d.fullRecompute) {
+                  fresh.present);
+    if (!step2Warm || fresh.present != cc.present) {
       // Cold cache or membership change on this cluster: the sweep
       // structure itself moved — recompute the whole cluster.
-      eqScheduleCluster(cid, vp, inc.occupation, strict,
-                        strictParticipants, d.fresh);
-      return;
+      eqScheduleCluster(cid, vp, inc.occupation, strict, strictParticipants,
+                        fresh);
+      std::swap(cc, fresh);
+      cc.forEachApp(napps, [&](std::size_t i, const StepFunction& series) {
+        if (step2Warm && series == inc.pViews[i].cap(cid)) return;
+        inc.pViews[i].setCap(cid, series);
+        inc.pChanged[i] = 1;
+      });
+      continue;
     }
 
     // Same membership: collect the ranges where any input moved.
-    std::vector<DirtyRange> ranges;
+    ranges.clear();
     Time lo = 0;
     Time hi = 0;
     if (diffWindow(inc.vp.cap(cid).segments(), vp.cap(cid).segments(), lo,
@@ -1047,48 +1026,22 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
         ranges.push_back({lo, hi});
       }
     }
-    d.rangesReused = cc.present.size() + (cc.hasIdle ? 1 : 0);
-    if (ranges.empty()) return;  // every series reused outright
+    rangesReused += cc.present.size() + (cc.hasIdle ? 1 : 0);
+    if (ranges.empty()) continue;  // every series reused outright
 
     mergeRanges(ranges);
-    std::vector<char> slotChanged(cc.present.size(), 0);
+    slotChanged.assign(cc.present.size(), 0);
     bool idleChanged = false;
     resweepCluster(cid, vp.cap(cid), inc.occupation, strict,
                    strictParticipants, napps, ranges, cc, slotChanged,
                    idleChanged);
     for (std::size_t k = 0; k < cc.present.size(); ++k) {
-      if (slotChanged[k]) d.changedPresent.push_back(
-          static_cast<std::uint32_t>(k));
-    }
-    d.idleChanged = idleChanged;
-  });
-
-  // Serial merge in cluster order, so any thread count produces the same
-  // views: fold each cluster's outcome into the cache and the per-app
-  // preemptive views.
-  std::uint64_t rangesReused = 0;
-  for (std::size_t c = 0; c < clusterIds.size(); ++c) {
-    const ClusterId cid = clusterIds[c];
-    ClusterSeries& cc = inc.clusters[c];
-    IncrementalState::ClusterDelta& d = inc.deltas[c];
-    rangesReused += d.rangesReused;
-
-    if (d.fullRecompute) {
-      std::swap(cc, d.fresh);
-      cc.forEachApp(napps, [&](std::size_t i, const StepFunction& series) {
-        if (step2Warm && series == inc.pViews[i].cap(cid)) return;
-        inc.pViews[i].setCap(cid, series);
-        inc.pChanged[i] = 1;
-      });
-      continue;
-    }
-
-    for (const std::uint32_t k : d.changedPresent) {
+      if (!slotChanged[k]) continue;
       const std::uint32_t i = cc.present[k];
       inc.pViews[i].setCap(cid, cc.outputs[k]);
       inc.pChanged[i] = 1;
     }
-    if (d.idleChanged) {
+    if (idleChanged) {
       cc.forEachApp(napps, [&](std::size_t i, const StepFunction& series) {
         if (&series != &cc.idle) return;  // an occupant: respliced above
         inc.pViews[i].setCap(cid, series);
@@ -1122,10 +1075,10 @@ void Scheduler::schedulePass(RequestSetSnapshot& snapshot, Time now) const {
   // toView would rewrite identical values and fit has nothing to place.
   const std::uint64_t step3Start = metrics::nowNanos();
   trace::span("eq_step2", step2Start, step3Start);
-  parallelFor(pool, napps, [&](std::size_t i) {
-    if (inc.clean[i]) return;
+  for (std::size_t i = 0; i < napps; ++i) {
+    if (inc.clean[i]) continue;
     reschedulePreemptible(apps[i].preemptible(), apps[i].preemptiveView, now);
-  });
+  }
   trace::span("eq_step3", step3Start, metrics::nowNanos());
 
   inc.valid = true;
@@ -1174,13 +1127,13 @@ View Scheduler::fit(const RequestSet& set, const View& available, Time t0) {
 }
 
 void Scheduler::eqSchedule(std::span<AppSchedule> apps, const View& available,
-                           Time now, bool strict, const ProfileContext& ctx) {
+                           Time now, bool strict) {
   thread_local std::vector<AppSnapshot> snapshots;
   snapshots.resize(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].capture(apps[i].app, nullptr, nullptr, apps[i].preemptible);
   }
-  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict, ctx);
+  eqSchedule(std::span<AppSnapshot>(snapshots), available, now, strict);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     snapshots[i].writeBack();
     apps[i].preemptiveView = std::move(snapshots[i].preemptiveView);

@@ -19,8 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "coorm/common/runtime_options.hpp"
-#include "coorm/profile/profile_context.hpp"
 #include "coorm/profile/segment_arena.hpp"
 #include "coorm/profile/view.hpp"
 #include "coorm/rms/machine.hpp"
@@ -29,7 +27,6 @@
 
 namespace coorm {
 
-class WorkerPool;
 struct IncrementalState;
 
 /// Fair distribution of `capacity` among `wants` (paper Algorithm 3, lines
@@ -40,25 +37,6 @@ struct IncrementalState;
 /// Deterministic in input order; negative demands are treated as zero.
 [[nodiscard]] std::vector<NodeCount> fairDistribute(
     NodeCount capacity, const std::vector<NodeCount>& wants);
-
-/// Execution knobs, orthogonal to the scheduling policy in
-/// Scheduler::Config.
-struct SchedulerOptions {
-  SchedulerOptions() = default;
-  /// Implicit on purpose: SchedulerOptions{4} reads as "4 worker threads".
-  SchedulerOptions(int threadCount) : threads(threadCount) {}
-  /// Projection of the shared runtime-tuning surface
-  /// (common/runtime_options.hpp).
-  explicit SchedulerOptions(const RuntimeOptions& runtime)
-      : threads(runtime.threads) {}
-
-  /// Worker threads for the per-cluster and per-application fan-out of a
-  /// scheduling pass. <= 1 keeps every pass on the calling thread (the
-  /// default). The partitioned work writes into pre-sized per-slot outputs
-  /// merged in deterministic order, so any thread count produces
-  /// bit-identical schedules and views.
-  int threads = 1;
-};
 
 /// Per-application scheduling state: the three request sets (input, whose
 /// requests' scheduling attributes are updated in place) and the two views
@@ -101,9 +79,8 @@ class Scheduler {
     bool strictEquiPartition = false;
   };
 
-  explicit Scheduler(Machine machine);  // default config, serial
+  explicit Scheduler(Machine machine);  // default config
   Scheduler(Machine machine, Config config);
-  Scheduler(Machine machine, Config config, SchedulerOptions options);
   ~Scheduler();
   Scheduler(Scheduler&&) noexcept;
   Scheduler& operator=(Scheduler&&) noexcept;
@@ -123,10 +100,8 @@ class Scheduler {
   /// is the full recompute. Output is bit-identical whatever the cache
   /// state (pinned by tests/test_scheduler_incremental.cpp).
   ///
-  /// With SchedulerOptions::threads > 1 the per-cluster and per-application
-  /// work fans out over the scheduler's worker pool; the result is
-  /// bit-identical to the serial pass. Not re-entrant: one pass at a time
-  /// per Scheduler.
+  /// The whole pass runs on the calling thread. Not re-entrant: one pass
+  /// at a time per Scheduler.
   void schedulePass(RequestSetSnapshot& snapshot, Time now) const;
 
   /// Live-set convenience: capture → schedulePass → writeBack, moving the
@@ -158,15 +133,10 @@ class Scheduler {
   /// Algorithm 3 (eqSchedule): equi-partition `available` among the
   /// applications' preemptible sets and write each AppSnapshot's
   /// preemptiveView. With `strict`, no filling of unused partitions.
-  /// When `ctx.pool` is non-null, Step 1/3 fan out per application and the
-  /// Step 2 sweep per cluster; output is bit-identical to the default
-  /// context. `ctx.arena` (when non-null) is installed as the calling
-  /// thread's segment arena for the call. The snapshots' per-cluster demand
-  /// summaries narrow each cluster sweep to the applications that can
-  /// occupy it.
+  /// The snapshots' per-cluster demand summaries narrow each cluster sweep
+  /// to the applications that can occupy it.
   static void eqSchedule(std::span<AppSnapshot> apps, const View& available,
-                         Time now, bool strict,
-                         const ProfileContext& ctx = {});
+                         Time now, bool strict);
 
   // --- live-RequestSet shims (capture → snapshot algorithm → write back) --
   // Semantics identical to operating in place on the live requests; kept
@@ -176,8 +146,7 @@ class Scheduler {
                      Time now = 0);
   static View fit(const RequestSet& set, const View& available, Time t0);
   static void eqSchedule(std::span<AppSchedule> apps, const View& available,
-                         Time now, bool strict,
-                         const ProfileContext& ctx = {});
+                         Time now, bool strict);
 
   /// The full machine as a view (every cluster constantly at capacity).
   [[nodiscard]] View machineView() const;
@@ -194,21 +163,18 @@ class Scheduler {
  private:
   Machine machine_;
   Config config_;
-  /// Present iff options.threads > 1. Mutable because a scheduling pass is
-  /// logically const (the pool is a lane for the pass's own work, not
-  /// observable state); schedule() is still not re-entrant.
-  mutable std::unique_ptr<WorkerPool> pool_;
-  /// Segment pool installed (via ArenaScope) on the pass thread for the
+  /// Segment pool installed (via ArenaScope) on the calling thread for the
   /// duration of schedulePass(), so pass-scoped profile scratch recycles
-  /// with the scheduler instead of the thread default. Scratch like the
-  /// pool, hence mutable.
+  /// with the scheduler instead of the thread default. Mutable because a
+  /// scheduling pass is logically const: the arena is its scratch, not
+  /// observable state.
   mutable SegmentArena arena_;
   /// Re-captured in place by schedule() each call, so repeated passes over
-  /// similar populations allocate nothing. Scratch, like the pool: not
+  /// similar populations allocate nothing. Scratch, like the arena: not
   /// observable state, hence mutable; schedule() is not re-entrant.
   mutable RequestSetSnapshot scratch_;
   /// Pass-to-pass cache of schedulePass (scheduler.cpp). Mutable for the
-  /// same reason as the pool: a pass is logically const, the cache is its
+  /// same reason as the arena: a pass is logically const, the cache is its
   /// scratch.
   mutable std::unique_ptr<IncrementalState> inc_;
 };

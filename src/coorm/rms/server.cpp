@@ -83,8 +83,7 @@ Server::Server(Executor& executor, Machine machine)
 
 Server::Server(Executor& executor, Machine machine, Config config)
     : executor_(executor),
-      scheduler_(machine, Scheduler::Config{config.strictEquiPartition},
-                 SchedulerOptions{config.threads}),
+      scheduler_(machine, Scheduler::Config{config.strictEquiPartition}),
       pool_(machine),
       config_(config) {
   tokenSeed_ = (std::uint64_t{std::random_device{}()} << 32) ^

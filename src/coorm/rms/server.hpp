@@ -7,12 +7,11 @@
 //    request() and done() messages;
 //  - a scheduling pass runs at most once per re-scheduling interval
 //    (administrator parameter, §3.2), coalescing bursts of messages;
-//  - each pass runs inline on the executor thread: it prunes ended
-//    requests, captures the request sets into a RequestSetSnapshot,
-//    schedules against that snapshot (fanned out over Config::threads
-//    workers) and commits — writes the results back, pushes views and
-//    starts due requests. Output is bit-identical for any `threads`
-//    setting — see README "Serving loop";
+//  - each pass runs inline on the executor thread, start to finish: it
+//    prunes ended requests, captures the request sets into a
+//    RequestSetSnapshot, schedules against that snapshot and commits —
+//    writes the results back, pushes views and starts due requests (see
+//    README "Serving loop");
 //  - when a request's computed start time arrives and enough node IDs are
 //    free, the request starts and the application is notified (startNotify);
 //    otherwise it stays pending until other applications release nodes
@@ -145,10 +144,6 @@ class Server {
     Time violationGrace = sec(5);
     /// Strict equi-partitioning (Fig. 11 baseline) instead of filling.
     bool strictEquiPartition = false;
-    /// Worker threads for the scheduling pass (SchedulerOptions::threads);
-    /// <= 1 runs every pass on the server's thread alone. Any value
-    /// produces bit-identical schedules.
-    int threads = 1;
     /// Wrap bare non-preemptible requests of applications without an
     /// explicit pre-allocation in implicit pre-allocations (§3.2).
     bool implicitWrap = true;
@@ -162,13 +157,12 @@ class Server {
     Time slowPass = 0;
 
     /// Projection of the shared runtime-tuning surface
-    /// (common/runtime_options.hpp): the three scheduling knobs come from
+    /// (common/runtime_options.hpp): the two scheduling knobs come from
     /// `runtime`, everything else keeps its default.
     [[nodiscard]] static Config fromRuntime(const RuntimeOptions& runtime) {
       Config config;
       config.reschedInterval = runtime.reschedInterval;
       config.strictEquiPartition = runtime.strictEquiPartition;
-      config.threads = runtime.threads;
       return config;
     }
   };

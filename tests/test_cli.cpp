@@ -3,6 +3,7 @@
 
 #include <initializer_list>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cli_options.hpp"
@@ -93,13 +94,6 @@ TEST(Cli, ParsesFlagsAndHorizon) {
   EXPECT_EQ(r.options.seed, 7u);
 }
 
-TEST(Cli, ParsesThreads) {
-  EXPECT_EQ(parse({}).options.runtime.threads, 1);  // serial by default
-  const ParseResult r = parse({"--threads", "4"});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.options.runtime.threads, 4);
-}
-
 TEST(Cli, ParsesStatsQuery) {
   const ParseResult r = parse({"--stats", "--connect", "127.0.0.1:7788"});
   ASSERT_TRUE(r.ok());
@@ -139,21 +133,6 @@ TEST(Cli, NegativeDeadlinesAreErrors) {
   EXPECT_EQ(parse({"--resume-grace", "-0.5"}).status, ParseStatus::kError);
 }
 
-TEST(Cli, NonPositiveThreadsIsError) {
-  EXPECT_EQ(parse({"--threads", "0"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--threads", "-2"}).status, ParseStatus::kError);
-  EXPECT_EQ(parse({"--threads"}).status, ParseStatus::kError);
-}
-
-TEST(Cli, ThreadsAboveCapIsError) {
-  // Parsing only: a pool is never built here, so no thread is started.
-  EXPECT_EQ(parse({"--threads", "256"}).options.runtime.threads, kMaxThreads);
-  EXPECT_EQ(parse({"--threads", "257"}).status, ParseStatus::kError);
-  const ParseResult huge = parse({"--threads", "100000"});
-  EXPECT_EQ(huge.status, ParseStatus::kError);
-  EXPECT_EQ(huge.error, "invalid numeric option");
-}
-
 TEST(Cli, HelpShortCircuits) {
   EXPECT_EQ(parse({"--help"}).status, ParseStatus::kHelp);
   EXPECT_EQ(parse({"-h"}).status, ParseStatus::kHelp);
@@ -170,8 +149,12 @@ TEST(Cli, UnknownOptionIsError) {
 }
 
 TEST(Cli, RemovedServingSwitchesAreUnknown) {
-  // The event loop (epoll) and the view push (VIEWS_DELTA) have one form
-  // each; their former switches are rejected like any unknown option.
+  // The event loop (epoll), the view push (VIEWS_DELTA) and the pass (on
+  // the loop thread) have one form each; their former switches are
+  // rejected like any unknown option.
+  const ParseResult threads = parse({"--threads", "4"});
+  EXPECT_EQ(threads.status, ParseStatus::kError);
+  EXPECT_EQ(threads.error, "unknown or incomplete option: --threads");
   const ParseResult backend = parse({"--io-backend", "epoll"});
   EXPECT_EQ(backend.status, ParseStatus::kError);
   EXPECT_EQ(backend.error, "unknown or incomplete option: --io-backend");
@@ -183,6 +166,35 @@ TEST(Cli, RemovedServingSwitchesAreUnknown) {
 TEST(Cli, InvalidOvercommitIsError) {
   EXPECT_EQ(parse({"--overcommit", "0"}).status, ParseStatus::kError);
   EXPECT_EQ(parse({"--amr-steps", "0"}).status, ParseStatus::kError);
+}
+
+TEST(Cli, NumbersMustParseWhole) {
+  // Parsing only: nothing here opens a connection, so the oversized
+  // count below is harmless.
+  const std::pair<const char*, const char*> bad[] = {
+      {"--connections", "99999999999"},  // beyond int
+      {"--nodes", "12abc"},              // trailing bytes
+      {"--resched", "nan"},              // not a finite interval
+      {"--seed", "1x"},
+      {"--overcommit", "inf"},
+      {"--seed", "-1"},  // unsigned
+      {"--until", ""},
+      {"--jobs", " 5"}};
+  for (const auto& [flag, text] : bad) {
+    const ParseResult r = parse({flag, text});
+    EXPECT_EQ(r.status, ParseStatus::kError) << flag << " '" << text << "'";
+    EXPECT_EQ(r.error, "invalid numeric option") << flag << " '" << text << "'";
+  }
+  // The same options with well-formed values still parse.
+  const ParseResult ok =
+      parse({"--connections", "2147483647", "--nodes", "12", "--resched",
+             "0.25", "--seed", "18446744073709551615", "--overcommit", "1e0"});
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.options.connections, 2147483647);
+  EXPECT_EQ(ok.options.nodes, 12);
+  EXPECT_EQ(ok.options.runtime.reschedInterval, msec(250));
+  EXPECT_EQ(ok.options.seed, 18446744073709551615u);
+  EXPECT_DOUBLE_EQ(ok.options.overcommit, 1.0);
 }
 
 TEST(Cli, ParsesListenEndpoint) {
@@ -274,7 +286,7 @@ TEST(Cli, UsageMentionsEveryOption) {
   for (const char* flag :
        {"--nodes", "--seed", "--amr", "--amr-steps", "--amr-static",
         "--overcommit", "--announce", "--psa", "--jobs", "--swf", "--strict",
-        "--threads", "--until", "--timeline",
+        "--until", "--timeline",
         "--trace", "--listen", "--connect", "--resched", "--stats",
         "--journal", "--idle-deadline", "--resume-grace", "--connections",
         "--probe",

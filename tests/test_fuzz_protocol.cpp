@@ -8,7 +8,7 @@
 // Whole-second action bursts land exactly on the second-aligned scheduling
 // passes, so request/done/disconnect messages regularly share an instant
 // with a pass. Results and protocol traces must be exactly identical across
-// threads {1, 2, 4}.
+// repeat runs of a seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,11 +186,10 @@ struct FuzzResult {
   std::uint64_t passes = 0;
 };
 
-Server::Config fuzzConfig(int threads = 1) {
+Server::Config fuzzConfig() {
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.threads = threads;
   return config;
 }
 
@@ -274,32 +273,27 @@ TEST_P(FuzzProtocol, DeterministicPerSeed) {
   EXPECT_EQ(a.freeAtEnd, b.freeAtEnd);
 }
 
-// Request/done/disconnect bursts sharing instants with passes: every
-// thread count must reproduce the single-threaded result and trace exactly.
-TEST_P(FuzzProtocol, ThreadCountsMatchSerialPassUnderBursts) {
+// Request/done/disconnect bursts sharing instants with passes: a repeat
+// run must reproduce the result and the trace exactly.
+TEST_P(FuzzProtocol, BurstsReproduceResultAndTrace) {
   const std::uint64_t seed = GetParam();
-  std::vector<std::string> serialTrace;
-  const FuzzResult serial =
-      runFuzz(seed, 5, minutes(15), fuzzConfig(/*threads=*/1), &serialTrace,
-              /*midRunDisconnects=*/true);
-  for (const int threads : {2, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    std::vector<std::string> trace;
-    const FuzzResult parallel = runFuzz(seed, 5, minutes(15),
-                                        fuzzConfig(threads), &trace,
-                                        /*midRunDisconnects=*/true);
-    expectSameResult(serial, parallel);
-    EXPECT_EQ(serialTrace, trace);
-  }
+  std::vector<std::string> first;
+  std::vector<std::string> second;
+  const FuzzResult a = runFuzz(seed, 5, minutes(15), fuzzConfig(), &first,
+                               /*midRunDisconnects=*/true);
+  const FuzzResult b = runFuzz(seed, 5, minutes(15), fuzzConfig(), &second,
+                               /*midRunDisconnects=*/true);
+  expectSameResult(a, b);
+  EXPECT_EQ(first, second);
 }
 
 TEST_P(FuzzProtocol, TraceDeterministicPerSeed) {
   const std::uint64_t seed = GetParam();
   std::vector<std::string> first;
   std::vector<std::string> second;
-  const FuzzResult a = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &first,
+  const FuzzResult a = runFuzz(seed, 4, minutes(10), fuzzConfig(), &first,
                                /*midRunDisconnects=*/true);
-  const FuzzResult b = runFuzz(seed, 4, minutes(10), fuzzConfig(2), &second,
+  const FuzzResult b = runFuzz(seed, 4, minutes(10), fuzzConfig(), &second,
                                /*midRunDisconnects=*/true);
   expectSameResult(a, b);
   EXPECT_EQ(first, second);

@@ -145,10 +145,9 @@ TEST(RequestSet, IterationPreservesInsertionOrder) {
 }
 
 // --- iteration-order contract ----------------------------------------------
-// The scheduler's determinism (including the parallel path's bit-identical
-// guarantee) rests on forEachRoot/forEachChild walking the set in insertion
-// order: toView/fit seed their worklists from these, and eqSchedule's fair
-// distribution breaks ties by input order.
+// The scheduler's determinism rests on forEachRoot/forEachChild walking
+// the set in insertion order: toView/fit seed their worklists from these,
+// and eqSchedule's fair distribution breaks ties by input order.
 
 TEST(RequestSetOrder, ForEachRootYieldsInsertionOrder) {
   Request a = makeRequest(30);

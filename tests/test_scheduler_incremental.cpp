@@ -2,7 +2,7 @@
 //
 // schedulePass promises *bit-identical* output whatever its cache state —
 // every request attribute and the exact view representation (operator==,
-// not sameAs) — at every thread count, over any churn rate:
+// not sameAs) — over any churn rate:
 //  - epoch-clean all-started applications are served from the pass-to-pass
 //    cache (their snapshot reports viewsReused and the previous views stay
 //    exact);
@@ -13,9 +13,9 @@
 // The oracle is test-only: reference_scheduler.hpp rebuilds Algorithm 4
 // from the public building blocks and never calls schedulePass. The suite
 // pins the pass against it on randomized churn grids (population sizes ×
-// churn rates {0,1,10,100}% × threads {1,2,4,8}) driven through the real
+// churn rates {0,1,10,100}% × four seeds each) driven through the real
 // snapshot/epoch machinery, and closes with a long-horizon server fuzz: a
-// server with a warm cache must trace-match a serial server whose cache is
+// server with a warm cache must trace-match a server whose cache is
 // dropped before every event, so that each of its passes runs cold.
 #include <gtest/gtest.h>
 
@@ -225,10 +225,9 @@ struct Runner : Twin {
   Scheduler scheduler;
   RequestSetSnapshot snapshot;
 
-  Runner(std::uint64_t seed, int napps, int threads, int stablePct = 60)
+  Runner(std::uint64_t seed, int napps, int stablePct = 60)
       : Twin(makePopulation(seed, napps, stablePct)),
-        scheduler(pop.machine, Scheduler::Config{pop.strict},
-                  SchedulerOptions{threads}) {}
+        scheduler(pop.machine, Scheduler::Config{pop.strict}) {}
 
   void pass(Time now) {
     snapshot.recapture(pop.apps);
@@ -289,10 +288,9 @@ void expectIdentical(const Twin& a, const Twin& b, const std::string& label) {
   }
 }
 
-void runGrid(std::uint64_t seed, int napps, int churnPct, int threads,
-             int passes) {
+void runGrid(std::uint64_t seed, int napps, int churnPct, int passes) {
   Reference ref(seed, napps);
-  Runner inc(seed, napps, threads);
+  Runner inc(seed, napps);
   for (int pass = 0; pass < passes; ++pass) {
     const Time now = sec(60 + pass * 30);
     churn(ref.pop, seed * 1000 + static_cast<std::uint64_t>(pass), churnPct,
@@ -305,17 +303,16 @@ void runGrid(std::uint64_t seed, int napps, int churnPct, int threads,
                     "seed=" + std::to_string(seed) +
                         " napps=" + std::to_string(napps) +
                         " churn=" + std::to_string(churnPct) +
-                        "% threads=" + std::to_string(threads) +
-                        " pass=" + std::to_string(pass));
+                        "% pass=" + std::to_string(pass));
   }
 }
 
 TEST(SchedulerIncremental, ChurnGridBitIdentical) {
   for (const int napps : {1, 3, 17, 64}) {
     for (const int churnPct : {0, 1, 10, 100}) {
-      for (const int threads : {1, 2, 4, 8}) {
-        runGrid(static_cast<std::uint64_t>(napps * 1000 + churnPct + threads),
-                napps, churnPct, threads, 6);
+      for (const int variant : {1, 2, 4, 8}) {
+        runGrid(static_cast<std::uint64_t>(napps * 1000 + churnPct + variant),
+                napps, churnPct, 6);
       }
     }
   }
@@ -323,16 +320,15 @@ TEST(SchedulerIncremental, ChurnGridBitIdentical) {
 
 TEST(SchedulerIncremental, LargePopulationLowChurn) {
   // The headline configuration, scaled for a unit test: a large population
-  // in near-steady state across several passes, serial and parallel.
-  for (const int threads : {1, 8}) {
-    runGrid(/*seed=*/42 + static_cast<std::uint64_t>(threads), /*napps=*/512,
-            /*churnPct=*/1, threads, 4);
+  // in near-steady state across several passes, on two seeds.
+  for (const std::uint64_t seed : {43, 50}) {
+    runGrid(seed, /*napps=*/512, /*churnPct=*/1, 4);
   }
 }
 
 TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
   // Pure lease population: every pass after the first is a renewal.
-  Runner inc(/*seed=*/7, /*napps=*/48, /*threads=*/1, /*stablePct=*/100);
+  Runner inc(/*seed=*/7, /*napps=*/48, /*stablePct=*/100);
   inc.pass(sec(60));  // cold pass primes the cache
   const metrics::Snapshot before = metrics::snapshot();
   inc.pass(sec(90));  // no churn: pure steady state
@@ -352,7 +348,7 @@ TEST(SchedulerIncremental, SteadyStateServesFromCacheAndReusesRanges) {
 TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
   const std::uint64_t seed = 11;
   Reference ref(seed, 32);
-  Runner inc(seed, 32, /*threads=*/4);
+  Runner inc(seed, 32);
   for (int pass = 0; pass < 5; ++pass) {
     const Time now = sec(60 + pass * 30);
     churn(ref.pop, seed * 1000 + static_cast<std::uint64_t>(pass), 10, now);
@@ -367,7 +363,7 @@ TEST(SchedulerIncremental, InvalidateForcesColdPassWithSameResults) {
 TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
   const std::uint64_t seed = 23;
   Reference ref(seed, 24);
-  Runner inc(seed, 24, /*threads=*/2);
+  Runner inc(seed, 24);
   const auto dropApp = [](Population& p, std::size_t index) {
     p.apps.erase(p.apps.begin() + static_cast<long>(index));
   };
@@ -411,7 +407,7 @@ TEST(SchedulerIncremental, PopulationChangeFallsBackToFullPass) {
 }
 
 // ---------------------------------------------------------------------------
-// Long-horizon server fuzz: warm cache vs a serial server that runs every
+// Long-horizon server fuzz: warm cache vs a server that runs every
 // pass cold. Applications acquire preemptible leases, then mostly idle —
 // long steady-state stretches where the warm server renews leases —
 // interleaved with bursts of new requests and releases.
@@ -563,8 +559,7 @@ struct ServerOutcome {
 /// `coldEveryPass` makes the reference server: its scheduler cache is
 /// dropped before every dispatched event, so each pass it runs is a cold
 /// full recompute.
-ServerOutcome runServerScenario(std::uint64_t seed, int threads,
-                                bool coldEveryPass,
+ServerOutcome runServerScenario(std::uint64_t seed, bool coldEveryPass,
                                 Time horizon = minutes(20)) {
   const metrics::Snapshot before = metrics::snapshot();
   Engine engine;
@@ -573,7 +568,6 @@ ServerOutcome runServerScenario(std::uint64_t seed, int threads,
   machine.clusters.push_back({kC1, 8});
   Server::Config config;
   config.reschedInterval = sec(1);
-  config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
   server.setTrace(&trace);
@@ -607,28 +601,24 @@ ServerOutcome runServerScenario(std::uint64_t seed, int threads,
   return outcome;
 }
 
-TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineSerialServer) {
+TEST(SchedulerIncremental, ServerLongHorizonMatchesPristineServer) {
   std::uint64_t totalRenewed = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const ServerOutcome pristine =
-        runServerScenario(seed, /*threads=*/1, /*coldEveryPass=*/true);
+        runServerScenario(seed, /*coldEveryPass=*/true);
     // Every reference pass really ran cold: nothing was served from cache.
     EXPECT_EQ(pristine.leasesRenewed, 0u);
-    for (const int threads : {1, 4}) {
-      const ServerOutcome inc =
-          runServerScenario(seed, threads, /*coldEveryPass=*/false);
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " threads=" + std::to_string(threads));
-      ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
-      for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
-        EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
-      }
-      EXPECT_EQ(pristine.freeC0, inc.freeC0);
-      EXPECT_EQ(pristine.freeC1, inc.freeC1);
-      EXPECT_EQ(pristine.passes, inc.passes);
-      EXPECT_EQ(pristine.trace, inc.trace);
-      totalRenewed += inc.leasesRenewed;
+    const ServerOutcome inc = runServerScenario(seed, /*coldEveryPass=*/false);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ASSERT_EQ(pristine.appLogs.size(), inc.appLogs.size());
+    for (std::size_t i = 0; i < pristine.appLogs.size(); ++i) {
+      EXPECT_EQ(pristine.appLogs[i], inc.appLogs[i]) << "app " << i;
     }
+    EXPECT_EQ(pristine.freeC0, inc.freeC0);
+    EXPECT_EQ(pristine.freeC1, inc.freeC1);
+    EXPECT_EQ(pristine.passes, inc.passes);
+    EXPECT_EQ(pristine.trace, inc.trace);
+    totalRenewed += inc.leasesRenewed;
   }
   // The horizon must actually exercise the steady state: leases renewed.
   EXPECT_GT(totalRenewed, 0u);

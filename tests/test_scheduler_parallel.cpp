@@ -1,12 +1,11 @@
-// Differential property suite for the parallel scheduler (ISSUE 3).
+// Differential property suite: the scheduler against a reference.
 //
-// The worker-pool refactor promises that `schedule`/`eqSchedule` output is
-// *bit-identical* across thread counts: every request attribute and every
-// view entry, compared with operator== (not just semantic sameAs). The
-// suite pins that on randomized multi-cluster populations (cluster counts
-// 1–8, varying app counts, NEXT/COALLOC chains, started and pending
-// requests), and additionally checks the refactored serial path against a
-// pre-refactor reference built from binary view algebra.
+// `Scheduler::schedule` must be *bit-identical* to a reference built from
+// binary view algebra (reference_scheduler.hpp): every request attribute
+// and every view entry, compared with operator== (not just semantic
+// sameAs). The suite pins that on randomized multi-cluster populations
+// (cluster counts 1–8, varying app counts, NEXT/COALLOC chains, started
+// and pending requests), in filling and in strict equi-partitioning mode.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "coorm/common/rng.hpp"
-#include "coorm/common/worker_pool.hpp"
 #include "coorm/rms/scheduler.hpp"
 #include "reference_scheduler.hpp"
 
@@ -177,114 +175,41 @@ void expectIdentical(const Population& a, const Population& b,
   }
 }
 
-void scheduleWithThreads(Population& p, int threads) {
-  Scheduler scheduler(p.machine, Scheduler::Config{p.strict},
-                      SchedulerOptions{threads});
+void schedule(Population& p) {
+  Scheduler scheduler(p.machine, Scheduler::Config{p.strict});
   scheduler.schedule(p.apps, p.now);
 }
 
-TEST(SchedulerParallel, ScheduleBitIdenticalAcrossThreadCounts) {
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Population serial = makePopulation(seed);
-    scheduleWithThreads(serial, 1);
-    for (const int threads : {2, 4, 8}) {
-      Population parallel = makePopulation(seed);
-      scheduleWithThreads(parallel, threads);
-      expectIdentical(serial, parallel,
-                      "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
-    }
+void expectMatchesReference(std::uint64_t seed, bool forceStrict) {
+  Population reference = makePopulation(seed);
+  Population scheduled = makePopulation(seed);
+  if (forceStrict) {
+    reference.strict = true;
+    scheduled.strict = true;
   }
+  referenceSchedule(reference.machine, reference.apps, reference.now,
+                    reference.strict);
+  schedule(scheduled);
+  expectIdentical(reference, scheduled,
+                  "seed=" + std::to_string(seed) +
+                      (forceStrict ? " strict" : ""));
 }
 
-TEST(SchedulerParallel, ScheduleMatchesPreRefactorSerialReference) {
+TEST(SchedulerReference, ScheduleMatchesPreRefactorSerialReference) {
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Population reference = makePopulation(seed);
-    referenceSchedule(reference.machine, reference.apps, reference.now,
-                      reference.strict);
-    for (const int threads : {1, 4}) {
-      Population refactored = makePopulation(seed);
-      scheduleWithThreads(refactored, threads);
-      expectIdentical(reference, refactored,
-                      "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
-    }
+    expectMatchesReference(seed, /*forceStrict=*/false);
   }
-}
-
-TEST(SchedulerParallel, StrictModeBitIdenticalAcrossThreadCounts) {
+  // Strict equi-partitioning on every population of a second seed range.
   for (std::uint64_t seed = 100; seed <= 120; ++seed) {
-    Population serial = makePopulation(seed);
-    serial.strict = true;
-    scheduleWithThreads(serial, 1);
-    Population parallel = makePopulation(seed);
-    parallel.strict = true;
-    scheduleWithThreads(parallel, 8);
-    expectIdentical(serial, parallel, "seed=" + std::to_string(seed));
+    expectMatchesReference(seed, /*forceStrict=*/true);
   }
 }
 
-TEST(SchedulerParallel, EqScheduleBitIdenticalWithPool) {
-  // Algorithm 3 in isolation, against availability with negative
-  // stretches (exercising the entry clamp) and clusters nobody occupies.
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    Rng rng(seed * 77);
-    View avail;
-    const int nclusters = static_cast<int>(rng.uniformInt(1, 8));
-    for (int c = 0; c < nclusters; ++c) {
-      StepFunction cap = StepFunction::constant(rng.uniformInt(4, 30));
-      const int dips = static_cast<int>(rng.uniformInt(0, 3));
-      for (int d = 0; d < dips; ++d) {
-        cap -= StepFunction::pulse(
-            sec(rng.uniformInt(0, 300)),
-            rng.uniformInt(0, 3) == 0 ? kTimeInf
-                                      : sec(rng.uniformInt(20, 200)),
-            rng.uniformInt(1, 20));
-      }
-      avail.setCap(ClusterId{c}, std::move(cap));
-    }
-
-    Population serial = makePopulation(seed);
-    Scheduler::eqSchedule(serial.apps, avail, serial.now, serial.strict,
-                          ProfileContext{});
-    for (const int threads : {2, 8}) {
-      WorkerPool pool(threads);
-      Population parallel = makePopulation(seed);
-      Scheduler::eqSchedule(parallel.apps, avail, parallel.now,
-                            parallel.strict, ProfileContext{.pool = &pool});
-      expectIdentical(serial, parallel,
-                      "seed=" + std::to_string(seed) +
-                          " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(SchedulerParallel, PoolReusedAcrossPassesStaysDeterministic) {
-  // One Scheduler (one pool) driving repeated passes at advancing times
-  // must track a serial scheduler pass for pass.
-  const std::uint64_t seed = 9;
-  Population serial = makePopulation(seed);
-  Population parallel = makePopulation(seed);
-  Scheduler serialScheduler(serial.machine, Scheduler::Config{serial.strict},
-                            SchedulerOptions{1});
-  Scheduler parallelScheduler(parallel.machine,
-                              Scheduler::Config{parallel.strict},
-                              SchedulerOptions{4});
-  for (int pass = 0; pass < 5; ++pass) {
-    const Time now = serial.now + sec(pass * 30);
-    serialScheduler.schedule(serial.apps, now);
-    parallelScheduler.schedule(parallel.apps, now);
-    expectIdentical(serial, parallel, "pass=" + std::to_string(pass));
-  }
-}
-
-TEST(SchedulerParallel, EmptyAppListIsANoopWithPool) {
-  WorkerPool pool(4);
+TEST(SchedulerReference, EmptyAppListIsANoop) {
   std::vector<AppSchedule> apps;
-  Scheduler::eqSchedule(apps, View{}, 0, false, ProfileContext{.pool = &pool});
-  Scheduler scheduler(Machine::single(16), Scheduler::Config{},
-                      SchedulerOptions{4});
-  scheduler.schedule(apps, 0);  // must not touch the pool with empty batches
+  Scheduler::eqSchedule(apps, View{}, 0, false);
+  Scheduler scheduler(Machine::single(16));
+  scheduler.schedule(apps, 0);
 }
 
 }  // namespace

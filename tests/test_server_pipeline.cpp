@@ -1,11 +1,9 @@
 // Determinism suite for the server's scheduling passes.
 //
-// A pass runs inline on the executor thread and fans its per-cluster and
-// per-application work out over Config::threads workers. The suite pins
-// that the fan-out is invisible: for a fixed scenario and seed, every
-// endpoint callback with its payload, the final node-pool state, the pass
-// count and the full protocol trace are *exactly* equal at every thread
-// count and across repeat runs.
+// A pass runs inline on the executor thread. The suite pins that a run is
+// a function of its seed: for a fixed scenario and seed, every endpoint
+// callback with its payload, the final node-pool state, the pass count and
+// the full protocol trace are *exactly* equal across repeat runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -218,8 +216,8 @@ struct Outcome {
   std::uint64_t passes = 0;
 };
 
-Outcome runScenario(std::uint64_t seed, int threads,
-                    int napps = 5, Time horizon = minutes(8)) {
+Outcome runScenario(std::uint64_t seed, int napps = 5,
+                    Time horizon = minutes(8)) {
   Engine engine;
   Machine machine;
   machine.clusters.push_back({kC0, 16});
@@ -227,7 +225,6 @@ Outcome runScenario(std::uint64_t seed, int threads,
   Server::Config config;
   config.reschedInterval = sec(1);
   config.violationGrace = sec(5);
-  config.threads = threads;
   Server server(engine, machine, config);
   Trace trace;
   server.setTrace(&trace);
@@ -274,20 +271,12 @@ void expectSameOutput(const Outcome& a, const Outcome& b,
   EXPECT_EQ(a.passes, b.passes);
 }
 
-TEST(ServerDeterminism, TracesIdenticalAcrossThreadCountsAndRepeats) {
+TEST(ServerDeterminism, TracesIdenticalAcrossRepeats) {
   for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14}) {
-    const Outcome reference = runScenario(seed, 1);
-    const Outcome repeat = runScenario(seed, 1);
+    const Outcome reference = runScenario(seed);
+    const Outcome repeat = runScenario(seed);
     EXPECT_EQ(reference.trace, repeat.trace) << "repeat seed=" << seed;
     expectSameOutput(reference, repeat, "repeat seed=" + std::to_string(seed));
-    for (const int threads : {2, 4, 8}) {
-      const Outcome other = runScenario(seed, threads);
-      EXPECT_EQ(reference.trace, other.trace)
-          << "seed=" << seed << " threads=" << threads;
-      expectSameOutput(reference, other,
-                       "seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
-    }
   }
 }
 

@@ -1,9 +1,40 @@
 #include "cli_options.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <ostream>
 
 namespace coorm::cli {
+
+namespace {
+
+/// The whole of `text` as an integer of type T. Rejects empty input,
+/// trailing bytes and values outside T's range (a sign on an unsigned T).
+template <typename T>
+bool parseInteger(const char* text, T& out) {
+  const char* const end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// The whole of `text` as a finite double. Rejects empty input, trailing
+/// bytes, out-of-range values, infinities and NaN.
+bool parseReal(const char* text, double& out) {
+  const char* const end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
+}
+
+/// The whole of `text` as finite fractional seconds.
+bool parseSeconds(const char* text, Time& out) {
+  double seconds = 0.0;
+  if (!parseReal(text, seconds)) return false;
+  out = secF(seconds);
+  return true;
+}
+
+}  // namespace
 
 void printUsage(std::ostream& out) {
   out << "usage: coorm_sim|coorm_rmsd|coorm_loadgen [options]\n"
@@ -20,10 +51,6 @@ void printUsage(std::ostream& out) {
          "  --jobs N           add N synthetic rigid jobs\n"
          "  --swf FILE         replay a rigid SWF trace\n"
          "  --strict           strict equi-partitioning (no filling)\n"
-         "  --threads N        worker threads each scheduling pass fans out\n"
-         "                     over (default 1 = the loop thread alone, at\n"
-         "                     most 256; any value yields bit-identical\n"
-         "                     schedules)\n"
          "  --until SECS       horizon when no AMR is present (default 86400)\n"
          "  --timeline         render an ASCII allocation timeline\n"
          "  --trace            dump the protocol trace\n"
@@ -68,35 +95,34 @@ ParseResult parseArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* v = nullptr;
+    bool parsed = true;  // false when a numeric value does not parse
     if (arg == "--help" || arg == "-h") {
       result.status = ParseStatus::kHelp;
       return result;
     } else if (arg == "--nodes" && (v = value(i))) {
-      options.nodes = std::atoll(v);
+      parsed = parseInteger(v, options.nodes);
     } else if (arg == "--seed" && (v = value(i))) {
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
+      parsed = parseInteger(v, options.seed);
     } else if (arg == "--amr" && (v = value(i))) {
-      options.amrPeakGiB = std::atof(v);
+      parsed = parseReal(v, options.amrPeakGiB.emplace());
     } else if (arg == "--amr-steps" && (v = value(i))) {
-      options.amrSteps = std::atoi(v);
+      parsed = parseInteger(v, options.amrSteps);
     } else if (arg == "--amr-static") {
       options.amrStatic = true;
     } else if (arg == "--overcommit" && (v = value(i))) {
-      options.overcommit = std::atof(v);
+      parsed = parseReal(v, options.overcommit);
     } else if (arg == "--announce" && (v = value(i))) {
-      options.announce = secF(std::atof(v));
+      parsed = parseSeconds(v, options.announce);
     } else if (arg == "--psa" && (v = value(i))) {
-      options.psaTasks.push_back(secF(std::atof(v)));
+      parsed = parseSeconds(v, options.psaTasks.emplace_back());
     } else if (arg == "--jobs" && (v = value(i))) {
-      options.syntheticJobs = std::atoi(v);
+      parsed = parseInteger(v, options.syntheticJobs);
     } else if (arg == "--swf" && (v = value(i))) {
       options.swfPath = v;
     } else if (arg == "--strict") {
       options.runtime.strictEquiPartition = true;
-    } else if (arg == "--threads" && (v = value(i))) {
-      options.runtime.threads = std::atoi(v);
     } else if (arg == "--until" && (v = value(i))) {
-      options.until = secF(std::atof(v));
+      parsed = parseSeconds(v, options.until);
     } else if (arg == "--timeline") {
       options.showTimeline = true;
     } else if (arg == "--trace") {
@@ -114,23 +140,23 @@ ParseResult parseArgs(int argc, const char* const* argv) {
         return result;
       }
     } else if (arg == "--resched" && (v = value(i))) {
-      options.runtime.reschedInterval = secF(std::atof(v));
+      parsed = parseSeconds(v, options.runtime.reschedInterval);
     } else if (arg == "--stats") {
       options.statsQuery = true;
     } else if (arg == "--journal" && (v = value(i))) {
       options.journalPath = v;
     } else if (arg == "--idle-deadline" && (v = value(i))) {
-      options.idleDeadline = secF(std::atof(v));
+      parsed = parseSeconds(v, options.idleDeadline);
     } else if (arg == "--resume-grace" && (v = value(i))) {
-      options.resumeGrace = secF(std::atof(v));
+      parsed = parseSeconds(v, options.resumeGrace);
     } else if (arg == "--connections" && (v = value(i))) {
-      options.connections = std::atoi(v);
+      parsed = parseInteger(v, options.connections);
     } else if (arg == "--probe" && (v = value(i))) {
-      options.probes = std::atoi(v);
+      parsed = parseInteger(v, options.probes);
     } else if (arg == "--trace-out" && (v = value(i))) {
       options.traceOut = v;
     } else if (arg == "--slow-pass-ms" && (v = value(i))) {
-      options.slowPassMs = std::atoll(v);
+      parsed = parseInteger(v, options.slowPassMs);
     } else if (arg == "--metrics-listen" && (v = value(i))) {
       options.metricsListen = net::parseEndpoint(v);
       if (!options.metricsListen) {
@@ -143,13 +169,16 @@ ParseResult parseArgs(int argc, const char* const* argv) {
       result.error = "unknown or incomplete option: " + arg;
       return result;
     }
+    if (!parsed) {
+      result.error = "invalid numeric option";
+      return result;
+    }
   }
   if (options.nodes <= 0 || options.amrSteps <= 0 ||
-      options.overcommit <= 0.0 || options.runtime.threads <= 0 ||
-      options.runtime.threads > kMaxThreads ||
-      options.runtime.reschedInterval <= 0 || options.idleDeadline < 0 ||
-      options.resumeGrace < 0 || options.connections <= 0 ||
-      options.probes < 0 || options.slowPassMs < 0) {
+      options.overcommit <= 0.0 || options.runtime.reschedInterval <= 0 ||
+      options.idleDeadline < 0 || options.resumeGrace < 0 ||
+      options.connections <= 0 || options.probes < 0 ||
+      options.slowPassMs < 0) {
     result.error = "invalid numeric option";
     return result;
   }

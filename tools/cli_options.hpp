@@ -22,10 +22,6 @@
 
 namespace coorm::cli {
 
-/// Upper bound of --threads: each worker is an OS thread, started when the
-/// scheduler is built.
-inline constexpr int kMaxThreads = 256;
-
 /// Everything the coorm tools can be told on the command line.
 struct Options {
   NodeCount nodes = 128;
@@ -38,9 +34,9 @@ struct Options {
   std::vector<Time> psaTasks;
   int syntheticJobs = 0;
   std::string swfPath;
-  /// The shared runtime-tuning knobs (threads, resched interval, strict
+  /// The shared runtime-tuning knobs (resched interval, strict
   /// equi-partitioning), parsed once here and projected into
-  /// Server::Config / SchedulerOptions by the drivers.
+  /// Server::Config by the drivers.
   RuntimeOptions runtime;
   Time until = hours(24);
   bool showTimeline = false;
